@@ -169,81 +169,6 @@ void maybe_append_json(sched_kind kind, unsigned fail_permille, bool corun,
   std::fclose(f);
 }
 
-// ---- §11 worker-loss scenario ---------------------------------------------
-//
-// One worker is killed (debug_lose_worker — a deterministic stand-in for
-// the fi worker_crash site) during a run with heartbeat detection armed.
-// Reported: the wall time of the run that absorbs the loss (detection +
-// fencing + deque adoption, bounded by iterating the tree until the loss
-// is booked) and the median short-handed makespan afterwards. Both land in
-// BENCH_degraded.json as scenario="worker_loss" rows, which the perf gate
-// holds to the same loose ratio as every other timing cell.
-struct loss_cell {
-  double loss_run_s = 0;        // run during which the loss is detected
-  double shorthanded_med_s = 0; // median makespan on the surviving workers
-  std::uint64_t workers_lost = 0;
-  std::uint64_t deques_adopted = 0;
-};
-
-loss_cell measure_worker_loss(sched_kind kind) {
-  loss_cell c;
-  ::setenv("LCWS_WORKER_LOST_MS", "10", 1);
-  with_scheduler(kind, kWorkers, [&](auto& sched) {
-    sched.reset_counters();
-    if (sched.run([&] { return burn_tree(sched, kTreeDepth); }) !=
-        kTreeAnswer) {
-      std::exit(1);  // warm run
-    }
-    stopwatch sw;
-    sched.run([&]() -> std::uint64_t {
-      sched.debug_lose_worker(1);
-      // Keep the tree going until the loss is detected and absorbed (the
-      // detector lives in the idle/join paths), with a hard iteration cap
-      // so a broken detector shows up as a huge cell, not a hang.
-      std::uint64_t sum = 0;
-      for (int i = 0; i < 1000 && sched.lost_workers() == 0; ++i) {
-        sum += burn_tree(sched, kTreeDepth);
-      }
-      return sum;
-    });
-    c.loss_run_s = sw.elapsed_seconds();
-    std::vector<double> times;
-    times.reserve(kReps);
-    for (int rep = 0; rep < kReps; ++rep) {
-      stopwatch sw2;
-      if (sched.run([&] { return burn_tree(sched, kTreeDepth); }) !=
-          kTreeAnswer) {
-        std::exit(1);
-      }
-      times.push_back(sw2.elapsed_seconds());
-    }
-    std::sort(times.begin(), times.end());
-    c.shorthanded_med_s = times[times.size() / 2];
-    const auto t = sched.profile().totals;
-    c.workers_lost = t.workers_lost;
-    c.deques_adopted = t.deques_adopted;
-  });
-  ::unsetenv("LCWS_WORKER_LOST_MS");
-  return c;
-}
-
-void maybe_append_loss_json(sched_kind kind, const loss_cell& c) {
-  const char* path = std::getenv("LCWS_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(
-      f,
-      "{\"benchmark\":\"degraded_mode\",\"scenario\":\"worker_loss\","
-      "\"scheduler\":\"%s\",\"procs\":%zu,\"fail_permille\":0,\"corun\":0,"
-      "\"recovery_run_s\":%.6f,\"makespan_median_s\":%.6f,"
-      "\"workers_lost\":%llu,\"deques_adopted\":%llu}\n",
-      to_string(kind), kWorkers, c.loss_run_s, c.shorthanded_med_s,
-      static_cast<unsigned long long>(c.workers_lost),
-      static_cast<unsigned long long>(c.deques_adopted));
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -277,19 +202,6 @@ int main() {
         maybe_append_json(kind, rate, corun, c);
       }
     }
-  }
-  std::printf("\n== worker_loss: one worker killed mid-run, detection %u ms "
-              "(DESIGN.md §11) ==\n",
-              10u);
-  std::printf("%-14s %14s %16s %6s %8s\n", "scheduler", "loss_run(ms)",
-              "shorthanded(ms)", "lost", "adopted");
-  for (const sched_kind kind : all_sched_kinds) {
-    const loss_cell c = measure_worker_loss(kind);
-    std::printf("%-14s %14.3f %16.3f %6llu %8llu\n", to_string(kind),
-                c.loss_run_s * 1e3, c.shorthanded_med_s * 1e3,
-                static_cast<unsigned long long>(c.workers_lost),
-                static_cast<unsigned long long>(c.deques_adopted));
-    maybe_append_loss_json(kind, c);
   }
   return 0;
 }

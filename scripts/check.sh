@@ -2,8 +2,9 @@
 # Tier-1 gate: build and run the full test suite under both presets
 # (release and ThreadSanitizer), then an AddressSanitizer+UBSan pass over
 # the hardening suites (exception propagation, fault injection + graceful
-# degradation, watchdog, shutdown/quiescence, health monitor, deque
-# overflow) where memory errors would hide behind rare interleavings.
+# degradation, watchdog, cancellation, shutdown/quiescence, health
+# monitor, deque overflow) where memory errors would hide behind rare
+# interleavings.
 #
 # Slow stress sweeps carry the `stress` ctest label; pass LCWS_QUICK=1 to
 # exclude them (`ctest -LE stress`) for a fast local iteration loop, and
@@ -15,8 +16,8 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 # --soak: the CI nightly job, runnable locally — ONLY the stress-labeled
-# sweeps (fault injection, worker-loss crashes), under ThreadSanitizer,
-# at 4x the acceptance seed depth (override with LCWS_FI_SEEDS).
+# fault-injection sweep, under ThreadSanitizer, at 4x the acceptance seed
+# depth (override with LCWS_FI_SEEDS).
 if [[ "${1:-}" == "--soak" ]]; then
   shift
   export LCWS_FI_SEEDS="${LCWS_FI_SEEDS:-256}"
@@ -71,5 +72,5 @@ echo "== preset: asan (hardening suites) =="
 cmake --preset asan
 cmake --build --preset asan -j "${jobs}"
 ctest --preset asan -j "${jobs}" \
-  -R '([Ee]xception|[Ff]ault|[Ww]atchdog|[Dd]eque|[Ss]hutdown|[Hh]ealth|[Dd]egrad|DumpOnExit|StealThrottle|Backoff|[Tt]race|PerfCounters|WorkerLoss)' \
+  -R '([Ee]xception|[Ff]ault|[Ww]atchdog|[Dd]eque|[Ss]hutdown|[Hh]ealth|[Dd]egrad|DumpOnExit|StealThrottle|Backoff|[Tt]race|PerfCounters|Cancel)' \
   "${label_filter[@]}" "$@"

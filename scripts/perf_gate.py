@@ -109,11 +109,7 @@ def key_locality(row):
 
 
 def key_degraded(row):
-    # Older rows predate the scenario field: they are the signal-failure
-    # sweep. Newer rows add scenario="worker_loss" (§11) under the same
-    # baseline file.
-    return (row.get("scenario", "signal_fail"), row.get("scheduler"),
-            row.get("fail_permille"), row.get("corun"))
+    return (row.get("scheduler"), row.get("fail_permille"), row.get("corun"))
 
 
 def key_fig(row):

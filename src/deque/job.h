@@ -37,17 +37,9 @@ class job {
   // (set_exception) before this store, so they are visible to any thread
   // that acquire-observed done.
   void execute() {
-    run_payload();
-    publish_done();
+    fn_(this);
+    done_.store(true, std::memory_order_release);
   }
-
-  // Split form of execute() for callers that must interleave their own
-  // bookkeeping between the payload and the completion publication (the
-  // scheduler clears its §11 current-job record *before* done is visible,
-  // so a crash detector that reads a non-null record knows the joiner is
-  // still waiting). publish_done() must follow run_payload() exactly once.
-  void run_payload() { fn_(this); }
-  void publish_done() noexcept { done_.store(true, std::memory_order_release); }
 
   bool is_done() const noexcept {
     return done_.load(std::memory_order_acquire);
@@ -73,19 +65,6 @@ class job {
   // Rethrows the captured exception at the join point, if any.
   void rethrow_if_exception() {
     if (eptr_ != nullptr) std::rethrow_exception(eptr_);
-  }
-
-  // Worker-loss repair (DESIGN.md §11): completes this job *without*
-  // running its payload, publishing `e` for the joiner to rethrow. Called
-  // by the recovery protocol on a job whose executing worker died mid-task
-  // — and only after the pool has quiesced long enough that no live worker
-  // can still be executing any of the job's descendants (the joiner's
-  // frame unwinds the moment done is observed, so an early completion
-  // would be a use-after-free of everything below it). Same
-  // write-exception-then-release-done ordering as the normal path.
-  void complete_abandoned(std::exception_ptr e) noexcept {
-    eptr_ = std::move(e);
-    done_.store(true, std::memory_order_release);
   }
 
  private:

@@ -1,43 +1,15 @@
 // Structured run-termination errors (DESIGN.md §11).
 //
-// A run() that cannot produce its value still always returns control: a
-// dead worker's in-flight join is repaired with worker_lost_error, and a
-// cooperatively cancelled tree collapses with run_cancelled_error. Both
-// travel the ordinary exception path — captured into the job at the point
+// A cooperatively cancelled tree collapses with run_cancelled_error. It
+// travels the ordinary exception path — captured into the job at the point
 // of failure, drained join by join, rethrown at the spawn site — so user
-// code catches them exactly where it would catch its own exceptions.
+// code catches it exactly where it would catch its own exceptions.
 #pragma once
 
-#include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace lcws {
-
-// A worker thread was declared lost (missed LCWS_WORKER_LOST_MS of
-// heartbeats while runnable) and the recovery protocol repaired the run by
-// completing the task it abandoned with this error. Carries the dead
-// worker's id and the pool's final per-worker state dump at detection time
-// — the post-mortem a service wants in its logs when it sheds the request
-// and carries on.
-class worker_lost_error : public std::runtime_error {
- public:
-  worker_lost_error(std::size_t worker, std::string dump)
-      : std::runtime_error("lcws: worker " + std::to_string(worker) +
-                           " lost (missed heartbeats); run repaired"),
-        worker_(worker),
-        dump_(std::move(dump)) {}
-
-  std::size_t worker() const noexcept { return worker_; }
-
-  // dump_worker_state() snapshot taken by the detecting worker.
-  const std::string& worker_dump() const noexcept { return dump_; }
-
- private:
-  std::size_t worker_;
-  std::string dump_;
-};
 
 // The active run was cancelled (cancel_run(), a run_for deadline, or the
 // watchdog's cancel rung) and this branch of the tree observed the token

@@ -87,20 +87,7 @@
 //   * LCWS_SEED=<n> reseeds the per-worker xoshiro streams (reproducible
 //     victim-selection experiments); unset keeps the historical seeds.
 //
-// Worker-loss containment & cancellation (DESIGN.md §11):
-//   * LCWS_WORKER_LOST_MS=<n> arms heartbeat detection: each worker stamps
-//     its health slot at scheduling boundaries (find_task); live workers'
-//     idle paths poll their peers and a worker silent for a full deadline
-//     while a run is active is declared lost (CAS-arbitrated — exactly one
-//     detector wins). The winner fences the corpse out of the steal paths
-//     and the parking lot, adopts its public deque through the ordinary
-//     thief pop_top (so every counter identity holds unmodified), counts
-//     unreachable private work as tasks_orphaned, and — once the progress
-//     token has been flat for a further full deadline, proving no live
-//     worker still executes a descendant — repairs the one join the corpse
-//     stranded by completing its in-flight stolen job with
-//     worker_lost_error. run() always returns. Worker 0 (the run() driver)
-//     is never declared lost.
+// Cancellation & deadlines (DESIGN.md §11):
 //   * Cooperative cancellation: cancel_run() — or run_for()'s deadline, or
 //     LCWS_RUN_TIMEOUT_MS wrapping every run() — sets a per-run token that
 //     every pardo checks; forks then throw run_cancelled_error, the tree
@@ -342,11 +329,8 @@ class scheduler {
     for (auto& flag : targeted_) {
       flag->store(false, std::memory_order_relaxed);
     }
-    // Fresh §11 per-run state: the cancellation token rearms, and the run
-    // epoch floors every heartbeat comparison so beats from *before* this
-    // run can never read as stale at its start.
+    // Fresh §11 per-run state: the cancellation token rearms.
     cancelled_.store(false, std::memory_order_relaxed);
-    run_epoch_ns_.store(monotonic_ns(), std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       active_.store(true, std::memory_order_release);
@@ -582,8 +566,7 @@ class scheduler {
         << " deque_fixed=" << growth_cfg_.fixed
         << " soft_cap=" << growth_cfg_.soft_cap
         << " cancelled=" << cancelled_.load(std::memory_order_relaxed)
-        << " lost=" << health_.lost_count() << " repairs_pending="
-        << pending_repairs_.load(std::memory_order_relaxed) << "\n";
+        << "\n";
     for (std::size_t i = 0; i < nworkers_; ++i) {
       const auto& c = counters_[i].get();
       out << "  w" << i << ": deque{" << workers_[i]->deque.debug_string()
@@ -601,9 +584,7 @@ class scheduler {
       }
       out << " exposures=" << c.exposures.get()
           << " idle_loops=" << c.idle_loops.get()
-          << " parks=" << c.parks.get() << " stuck_job="
-          << (workers_[i]->current_job.load(std::memory_order_relaxed) !=
-              nullptr);
+          << " parks=" << c.parks.get();
       if (health_.enabled()) {
         out << " health{" << health_.debug_string(i) << "}";
       }
@@ -647,34 +628,9 @@ class scheduler {
     return health_.enabled() && health_.is_degraded(worker);
   }
 
-  // ---- §11 worker-loss introspection / hooks ------------------------------
-
-  // Whether LCWS_WORKER_LOST_MS armed heartbeat loss detection.
-  bool loss_detection_active() const noexcept {
-    return health_.loss_detection();
-  }
-
-  // Workers declared lost so far (0 on a healthy pool).
-  std::uint64_t lost_workers() const noexcept { return health_.lost_count(); }
-
-  bool is_lost(std::size_t worker) const noexcept {
-    return health_.loss_detection() && health_.is_lost(worker);
-  }
-
-  // Direct access to the health monitor (force_lost/force_degraded and the
-  // other test hooks).
+  // Direct access to the health monitor (force_degraded and the other test
+  // hooks).
   health::monitor& health_monitor() noexcept { return health_; }
-
-  // Test/bench hook: ask worker `w` to exit its scheduling loop at its next
-  // boundary — a deterministic stand-in for the fi worker_crash site. With
-  // loss detection armed the pool then detects and fences it like any real
-  // loss; without, the pool simply runs short-handed (the exiting worker
-  // holds no work at a boundary). Worker 0 drives run() and never dies.
-  void debug_lose_worker(std::size_t w) noexcept {
-    if (w == 0 || w >= nworkers_) return;
-    workers_[w]->die.store(true, std::memory_order_relaxed);
-    lot_.unpark(w);  // a parked worker must wake to observe the request
-  }
 
   // Test/diagnostic access.
   deque_type& deque_of(std::size_t worker) noexcept {
@@ -734,30 +690,6 @@ class scheduler {
     victim_selector victims;   // §7 distance-ordered table; owner-only
     std::uint32_t park_timeout_us = kParkMinUs;  // adaptive; owner-only
     stats::perf_group hw;      // §10 per-thread counters; owner-only
-    // §11 worker-loss containment. current_job publishes the stolen task
-    // this worker is executing (null otherwise): the one join it would
-    // strand by dying, which recovery must repair. Cleared strictly before
-    // the job's done is published, so a detector that reads non-null knows
-    // the joiner is still waiting. gasped is the crash sites' last-gasp
-    // release edge (recovery acquire-loads it before touching anything the
-    // corpse wrote); die is the debug_lose_worker request flag.
-    std::atomic<job*> current_job{nullptr};
-    std::atomic<bool> gasped{false};
-    std::atomic<bool> die{false};
-    // Owner-only rate limiter for the busy-path detection poll in
-    // find_task (a saturated pool never takes the idle-path pollers).
-    std::uint64_t last_loss_poll_ns = 0;
-  };
-
-  // §11 join-repair bookkeeping (cold; guarded by repair_mutex_): one entry
-  // per lost worker that died holding a stolen job.
-  struct repair {
-    job* stuck;                     // the corpse's in-flight stolen job
-    std::size_t lost;               // which worker died
-    std::string dump;               // pool state at detection (for the error)
-    std::uint64_t last_token;       // progress token at last observation
-    std::uint64_t stable_since_ns;  // when the token last moved
-    bool repaired = false;
   };
 
   // Availability codes published per worker in hw_slot::state.
@@ -1196,155 +1128,6 @@ class scheduler {
     return kParkAfterFailures;
   }
 
-  // ---- worker-loss containment (DESIGN.md §11) ----------------------------
-
-  // Idle-path detection round, rate-limited to every 64th fruitless
-  // iteration (spinning idlers poll often; park entries call loss_poll
-  // unconditionally so a mostly-parked pool still detects within its
-  // ≤20ms backstop cadence). No-op unless LCWS_WORKER_LOST_MS is armed.
-  void loss_idle_step(std::size_t self, std::uint32_t failures) {
-    if (!health_.loss_detection()) return;
-    if ((failures & 63u) != 0) return;
-    loss_poll(self);
-  }
-
-  // One full detection/repair round: beat, poll every peer's heartbeat
-  // (worker 0 — the run() driver — is never declared lost), keep dead
-  // readers' reclamation slots moving, and advance any pending join
-  // repairs. Callers gate on loss_detection().
-  void loss_poll(std::size_t self) {
-    const std::uint64_t now = monotonic_ns();
-    health_.beat(self, now);  // idling is liveness too
-    if (active_.load(std::memory_order_relaxed) && nworkers_ > 1) {
-      const std::uint64_t epoch =
-          run_epoch_ns_.load(std::memory_order_relaxed);
-      for (std::size_t w = 1; w < nworkers_; ++w) {
-        if (w == self) continue;
-        if (health_.poll_worker_lost(w, now, epoch) ==
-            health::transition::worker_lost) {
-          recover_lost_worker(self, w);
-        }
-      }
-    }
-    if (health_.any_lost()) {
-      // Quiesce on the corpses' behalf: a worker dead at a scheduling
-      // boundary provably holds no deque-buffer pointer, and its frozen
-      // reader slot would otherwise stall buffer reclamation for the rest
-      // of the pool's lifetime.
-      for (std::size_t w = 1; w < nworkers_; ++w) {
-        if (health_.is_lost(w)) reclaim_.quiesce(workers_[w]->reader);
-      }
-      poll_repairs(now);
-    }
-  }
-
-  // The detection winner's recovery protocol. By the §11 fault model the
-  // corpse died at a scheduling boundary (loop top, park entry, or between
-  // claiming a stolen task and executing it), so its own pardo frames have
-  // all unwound: every task still in its deque was pushed by frames that
-  // no longer exist — nobody live joins them — and the only join it can
-  // strand is the stolen job recorded in current_job.
-  void recover_lost_worker(std::size_t self, std::size_t lost) {
-    stats::count_worker_lost();
-    auto& ws = *workers_[lost];
-    // Pair with the crash sites' last-gasp release store: everything the
-    // corpse wrote before dying (deque state, current_job) is visible now.
-    (void)ws.gasped.load(std::memory_order_acquire);
-    // Fence it out: no wake permits (a permit delivered to a corpse is a
-    // wake a live worker needed), no stale exposure suppression, no future
-    // steals or signals (steal_from's any_lost gate).
-    lot_.mark_dead(lost);
-    targeted_[lost]->store(false, std::memory_order_relaxed);
-    // Adopt the public deque through the ordinary thief pop_top, executing
-    // each task here (their joiners are live and waiting): every pop
-    // counts as a normal steal, so pushes == pops + steals + orphaned
-    // needs no special case. Mailbox victims have no thief-side drain (the
-    // owner answers requests), so everything they held is orphaned.
-    std::uint64_t orphaned = 0;
-    if constexpr (family != sched_family::mailbox) {
-      for (;;) {
-        const auto r = ws.deque.pop_top();
-        if (r.status == steal_status::stolen) {
-          run_task(self, {r.task, true});
-          continue;
-        }
-        if (r.status == steal_status::aborted) continue;  // raced a thief
-        break;  // empty or private_work: nothing more is reachable
-      }
-      stats::count_deque_adopted();
-      trace::emit(trace::event::adopt, lost);
-      const std::int64_t left = ws.deque.size_estimate();
-      orphaned = left > 0 ? static_cast<std::uint64_t>(left) : 0;
-    } else {
-      const std::int64_t left = ws.deque.size_estimate();
-      orphaned = left > 0 ? static_cast<std::uint64_t>(left) : 0;
-    }
-    if (orphaned != 0) stats::count_tasks_orphaned(orphaned);
-    // The stranded join, if any. Non-null means done was never published,
-    // so the joiner still waits; queue the repair — completing it *now*
-    // would let the joiner's frame unwind while live workers may still be
-    // executing the job's stolen descendants (use-after-free of every
-    // frame below it). poll_repairs releases it only after quiescence.
-    if (job* stuck = ws.current_job.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lk(repair_mutex_);
-      repairs_.push_back(repair{stuck, lost, dump_worker_state(),
-                                progress_token(), monotonic_ns()});
-      pending_repairs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Wake the pool: adopted work may have spawned, and parked workers
-    // must re-evaluate the new fencing.
-    if (parking_) stats::count_wake(lot_.unpark_all());
-  }
-
-  // Stability-gated join repair: a stranded job is completed (with
-  // worker_lost_error carrying the detection-time dump) only once the
-  // progress token has been flat for a further full worker-lost deadline —
-  // by then every live worker is provably idle, so no descendant of the
-  // stuck job can still be executing and the joiner's unwind is safe.
-  // try_lock keeps this off any hot path: one poller per round, the rest
-  // skip.
-  void poll_repairs(std::uint64_t now) {
-    if (pending_repairs_.load(std::memory_order_relaxed) == 0) return;
-    std::unique_lock<std::mutex> lk(repair_mutex_, std::try_to_lock);
-    if (!lk.owns_lock()) return;
-    const std::uint64_t token = progress_token();
-    for (auto& r : repairs_) {
-      if (r.repaired) continue;
-      if (token != r.last_token) {
-        r.last_token = token;
-        r.stable_since_ns = now;
-        continue;
-      }
-      if (now - r.stable_since_ns < health_.cfg().worker_lost_ns) continue;
-      r.stuck->complete_abandoned(std::make_exception_ptr(
-          worker_lost_error(r.lost, std::move(r.dump))));
-      r.repaired = true;
-      pending_repairs_.fetch_sub(1, std::memory_order_relaxed);
-      // The repaired joiner may be parked; everyone re-checks.
-      if (parking_) stats::count_wake(lot_.unpark_all());
-    }
-  }
-
-  // fi worker_crash, wedge flavor: the thread never runs again but never
-  // exits either (SIGSTOP, a pathological page fault). Publishes the
-  // last-gasp release edge, then sleeps until pool shutdown — it must stay
-  // joinable for the destructor, and by then the run it stranded has long
-  // been repaired (run() cannot return unrepaired, and the destructor runs
-  // after run() returned).
-  void crash_wedge(std::size_t self) {
-    workers_[self]->gasped.store(true, std::memory_order_release);
-    while (!shutdown_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
-  // fi worker_crash, exit flavor: abrupt death at a scheduling boundary
-  // (pthread_exit, a crashed-and-caught thread). The caller breaks out of
-  // worker_loop immediately after.
-  void crash_exit(std::size_t self) {
-    workers_[self]->gasped.store(true, std::memory_order_release);
-  }
-
   // LCWS_DUMP_ON_EXIT: post-mortem snapshot at destruction. The dump
   // mutex (trace.h) keeps each pool's report contiguous when several
   // pools are torn down concurrently (the interleaved-dump bug).
@@ -1368,15 +1151,6 @@ class scheduler {
   // and successful steals are classified by the victim's distance tier.
   // With the layer off this is exactly try_steal.
   job* steal_from(std::size_t self, std::size_t victim) {
-    // §11 fence: a lost worker is never a victim — its public deque was
-    // adopted at detection, and signalling/posting to a corpse would leak
-    // exposure requests nobody answers (mailbox thieves would spin out
-    // their retract timeout on it). Cost while armed and healthy: one
-    // relaxed any_lost() load; nothing at all when detection is off.
-    if (health_.loss_detection() && health_.any_lost() &&
-        health_.is_lost(victim)) [[unlikely]] {
-      return nullptr;
-    }
     trace::emit(trace::event::steal_attempt, victim);
     job* task = try_steal(self, victim);
     trace::emit(task != nullptr ? trace::event::steal_success
@@ -1428,23 +1202,6 @@ class scheduler {
     // fence, no CAS — and it unblocks reclamation of storage retired by
     // any grown deque in the pool.
     reclaim_.quiesce(workers_[self]->reader);
-    // §11 heartbeat: one clock read + one relaxed store to this worker's
-    // own slot per scheduling boundary, and only when loss detection is
-    // armed — the disarmed hot path is bit-for-bit legacy. The same clock
-    // read rate-limits a full detection poll: a saturated pool never has
-    // a fruitless round, so the idle/park pollers go silent exactly when
-    // every worker always finds work (the concurrent-deque WS baseline
-    // under steady load), and without this a corpse would go unnoticed
-    // until the load drained.
-    if (health_.loss_detection()) [[unlikely]] {
-      const std::uint64_t now = monotonic_ns();
-      health_.beat(self, now);
-      auto& last = workers_[self]->last_loss_poll_ns;
-      if (now - last >= health_.cfg().worker_lost_ns / 4) {
-        last = now;
-        loss_poll(self);
-      }
-    }
     if (job* task = get_local(self)) return {task, false};
     return {steal_once(self), true};
   }
@@ -1461,20 +1218,7 @@ class scheduler {
   void run_task(std::size_t self, const found_task& f) {
     if (f.stolen && parking_ && lot_.sleepers() != 0) wake_one(self);
     trace::emit(trace::event::task_begin, f.stolen ? 1 : 0);
-    if (f.stolen) {
-      // §11: publish the join this worker would strand by dying here. The
-      // record is cleared strictly before done is published (job.h's split
-      // execute), so a detector reading non-null knows the joiner still
-      // waits; stores are to this worker's own line and steals are rare.
-      auto& cur = workers_[self]->current_job;
-      cur.store(f.task, std::memory_order_release);
-      stats::count_task_executed();
-      f.task->run_payload();
-      cur.store(nullptr, std::memory_order_relaxed);
-      f.task->publish_done();
-    } else {
-      execute(f.task);
-    }
+    execute(f.task);
     trace::emit(trace::event::task_end);
     if (f.stolen && parking_ && lot_.sleepers() != 0) {
       stats::count_wake(lot_.unpark_all());
@@ -1553,10 +1297,6 @@ class scheduler {
     reclaim_.quiesce(ws.reader);
     trace::emit(trace::event::quiesce, self);
     sample_hw(self);
-    // §11 detection keeps its cadence through a mostly-parked pool: every
-    // park entry is a poll (cold path), and the ≤20ms timed backstop below
-    // bounds the gap between polls even when no wakes arrive.
-    if (health_.loss_detection()) loss_poll(self);
     stats::count_park();
     stopwatch sw;
     const bool woken =
@@ -1584,7 +1324,6 @@ class scheduler {
       } else {
         stats::count_idle_loop();
         ++failures;
-        loss_idle_step(self, failures);
         const bool yielded =
             health_.enabled() && idle_pressure_step(self, failures, bo);
         if (parking_ && failures >= park_threshold(self)) {
@@ -1621,15 +1360,6 @@ class scheduler {
     std::uint32_t failures = 0;
     while (true) {
       if (shutdown_.load(std::memory_order_acquire)) break;
-      // §11 containment: a worker declared lost — or asked to die by
-      // debug_lose_worker — must never schedule again. For a
-      // misdeclared-but-alive thread this halt is what keeps the repair
-      // protocol's "the corpse never resumes" assumption true.
-      if (workers_[id]->die.load(std::memory_order_relaxed) ||
-          (health_.loss_detection() && health_.is_lost(id))) {
-        crash_exit(id);
-        break;
-      }
       if (!active_.load(std::memory_order_acquire)) {
         // Blocking between runs: quiesce first so storage retired by the
         // previous computation can be reclaimed while we sleep. Cold, so
@@ -1646,34 +1376,7 @@ class scheduler {
         failures = 0;
         continue;
       }
-      // fi worker_crash at the loop top: a scheduling-boundary death (the
-      // deque is provably empty here, every pardo frame has unwound).
-      // Even-id workers wedge (a thread that never runs again but never
-      // exits), odd-id workers exit abruptly. Below the inactive-wait so
-      // only workers participating in a run can die — a corpse created
-      // between runs would silently shrink the pool before the computation
-      // under test ever started. Gated on armed loss detection: without a
-      // detector a wedge mid-computation would just hang the suite, which
-      // is the failure this layer removes — not a test of it.
-      if (health_.loss_detection() &&
-          fi::inject(fi::site::worker_crash)) [[unlikely]] {
-        if ((id & 1) == 0) crash_wedge(id);
-        crash_exit(id);
-        break;
-      }
       if (found_task f = find_task(id)) {
-        // fi worker_crash, mid-task flavor: die *between claiming a stolen
-        // task and executing it* — the one boundary where the corpse
-        // strands a live joiner. Publish the claim as current_job (as
-        // run_task would), then wedge: the §11 repair path must finish
-        // this run.
-        if (f.stolen && health_.loss_detection() &&
-            fi::inject(fi::site::worker_crash_midtask)) [[unlikely]] {
-          workers_[id]->current_job.store(f.task, std::memory_order_release);
-          crash_wedge(id);
-          crash_exit(id);
-          break;
-        }
         run_task(id, f);
         bo.reset();
         failures = 0;
@@ -1681,7 +1384,6 @@ class scheduler {
       }
       stats::count_idle_loop();
       ++failures;
-      loss_idle_step(id, failures);
       const bool yielded =
           health_.enabled() && idle_pressure_step(id, failures, bo);
       if (parking_ && failures >= park_threshold(id)) {
@@ -1731,15 +1433,7 @@ class scheduler {
   // §11 per-run cancellation token; deliberately adjacent to active_ (both
   // read-mostly, loaded together at every pardo).
   std::atomic<bool> cancelled_{false};
-  // Heartbeat floor for the active run: beats from before this run can
-  // never read as stale at its start (see health::poll_worker_lost).
-  std::atomic<std::uint64_t> run_epoch_ns_{0};
   const std::uint64_t run_timeout_ms_ = env_run_timeout_ms();
-  // §11 join-repair state. Cold: touched only after a loss; idle paths
-  // gate on pending_repairs_ (one relaxed load) before taking the mutex.
-  std::mutex repair_mutex_;
-  std::vector<repair> repairs_;
-  std::atomic<std::uint64_t> pending_repairs_{0};
   std::mutex mutex_;
   std::condition_variable idle_cv_;
   const std::thread::id owner_;

@@ -45,9 +45,6 @@ op_counters& op_counters::operator+=(const op_counters& other) noexcept {
   parks += other.parks;
   wakes += other.wakes;
   idle_ns += other.idle_ns;
-  workers_lost += other.workers_lost;
-  deques_adopted += other.deques_adopted;
-  tasks_orphaned += other.tasks_orphaned;
   runs_cancelled += other.runs_cancelled;
   return *this;
 }
@@ -90,9 +87,6 @@ op_counters operator-(op_counters a, const op_counters& b) noexcept {
   a.parks -= b.parks;
   a.wakes -= b.wakes;
   a.idle_ns -= b.idle_ns;
-  a.workers_lost -= b.workers_lost;
-  a.deques_adopted -= b.deques_adopted;
-  a.tasks_orphaned -= b.tasks_orphaned;
   a.runs_cancelled -= b.runs_cancelled;
   return a;
 }
@@ -142,10 +136,7 @@ std::string format_profile(const profile& p) {
       << " idle_loops=" << t.idle_loops << "\n"
       << "parks=" << t.parks << " wakes=" << t.wakes
       << " idle_ns=" << t.idle_ns << "\n"
-      << "workers_lost=" << t.workers_lost
-      << " deques_adopted=" << t.deques_adopted
-      << " tasks_orphaned=" << t.tasks_orphaned
-      << " runs_cancelled=" << t.runs_cancelled << "\n"
+      << "runs_cancelled=" << t.runs_cancelled << "\n"
       << "exposed_not_stolen=" << p.exposed_not_stolen_fraction()
       << " steal_success_rate=" << p.steal_success_rate() << "\n"
       << "hw: status=" << p.hw.status << " cycles=" << p.hw.cycles

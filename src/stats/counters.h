@@ -133,18 +133,6 @@ struct op_counters {
   relaxed_counter parks;           // park episodes (worker blocked idle)
   relaxed_counter wakes;           // unpark permits issued by this worker
   relaxed_counter idle_ns;         // nanoseconds spent parked
-  // Worker-loss containment (DESIGN.md §11). Counted on the *recovering*
-  // worker's block (the CAS winner of each recovery phase), never on the
-  // dead worker's. Adoption drains through the normal steal path, so the
-  // push identity widens to
-  //   pushes == pops_private + pops_public + steals + tasks_orphaned
-  // where tasks_orphaned is work stranded in a lost worker's private part
-  // (or, mailbox family, its whole stack) that no thief can reach.
-  relaxed_counter workers_lost;    // worker_lost verdicts acted upon
-  relaxed_counter deques_adopted;  // lost workers whose public deque was
-                                   // drained by the recovering worker
-  relaxed_counter tasks_orphaned;  // size_estimate of unreachable work at
-                                   // adoption time (estimate by design)
   relaxed_counter runs_cancelled;  // cancel_run() edges (token false->true)
 
   op_counters& operator+=(const op_counters& other) noexcept;
@@ -252,10 +240,6 @@ inline void count_idle_loop() noexcept {}
 inline void count_park() noexcept {}
 inline void count_wake(std::uint64_t n = 1) noexcept { (void)n; }
 inline void count_idle_ns(std::uint64_t ns) noexcept { (void)ns; }
-inline void count_worker_lost() noexcept {}
-inline void count_deque_adopted() noexcept {}
-inline void count_tasks_orphaned(std::uint64_t n) noexcept { (void)n; }
-inline void count_run_cancelled() noexcept {}
 #else
 inline void count_fence() noexcept { ++local_counters().fences; }
 inline void count_cas(bool success) noexcept {
@@ -336,18 +320,6 @@ inline void count_wake(std::uint64_t n = 1) noexcept {
 }
 inline void count_idle_ns(std::uint64_t ns) noexcept {
   local_counters().idle_ns += ns;
-}
-inline void count_worker_lost() noexcept {
-  ++local_counters().workers_lost;
-}
-inline void count_deque_adopted() noexcept {
-  ++local_counters().deques_adopted;
-}
-inline void count_tasks_orphaned(std::uint64_t n) noexcept {
-  local_counters().tasks_orphaned += n;
-}
-inline void count_run_cancelled() noexcept {
-  ++local_counters().runs_cancelled;
 }
 #endif
 

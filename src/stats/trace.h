@@ -56,8 +56,6 @@ enum class event : std::uint8_t {
   quiesce,           // arg: own worker id (cold-path reclaim quiesce only)
   hw_cycles,         // arg: cumulative cycles sampled on this worker
   hw_cache_misses,   // arg: cumulative cache misses sampled on this worker
-  worker_lost,       // arg: lost worker id (emitted on the detecting worker)
-  adopt,             // arg: lost worker id whose public deque was drained
   cancel,            // arg: 1 deadline/watchdog, 0 explicit cancel_run()
 };
 
@@ -82,8 +80,6 @@ inline const char* to_string(event e) noexcept {
     case event::quiesce: return "quiesce";
     case event::hw_cycles: return "cycles";
     case event::hw_cache_misses: return "cache_misses";
-    case event::worker_lost: return "worker_lost";
-    case event::adopt: return "adopt";
     case event::cancel: return "cancel";
   }
   return "?";

@@ -41,21 +41,6 @@
 //                  advancement, widening the multiplicity window so
 //                  duplicate extractions (normally vanishingly rare)
 //                  actually happen and the claim words must resolve them
-//   worker_crash   scheduler.h worker_loop: the worker dies at the loop
-//                  top, a scheduling boundary where its deque is provably
-//                  empty — either exits abruptly or wedges forever.
-//                  Drives the §11 worker-loss recovery protocol: heartbeat
-//                  detection, deque adoption and join repair must carry the
-//                  run to an answer (result or worker_lost_error), never a
-//                  hang. Worker 0 (the run() caller) is never crashed.
-//   worker_crash_midtask
-//                  scheduler.h worker_loop: the worker wedges *between
-//                  claiming a stolen task and executing it* — the one
-//                  boundary where the corpse strands a live joiner, forcing
-//                  the §11 join-repair path. Split from worker_crash so a
-//                  directed test can arm it alone at rate 1000: the first
-//                  top-level steal then wedges its thief deterministically,
-//                  with no loop-top death racing to fire first.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +55,6 @@ enum class site : unsigned {
   spurious_wake,
   deque_grow,
   wsmult_dup,
-  worker_crash,
-  worker_crash_midtask,
   num_sites,  // sentinel
 };
 

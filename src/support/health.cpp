@@ -48,8 +48,6 @@ config config::from_env() noexcept {
   if (c.steal_budget == 0) c.steal_budget = 1;
   c.budget_window_ns = 1000 * env_u64("LCWS_DEGRADE_BUDGET_WINDOW_US",
                                       c.budget_window_ns / 1000);
-  c.worker_lost_ns =
-      1000 * 1000 * env_u64("LCWS_WORKER_LOST_MS", c.worker_lost_ns / 1000000);
   return c;
 }
 
@@ -115,10 +113,6 @@ std::string monitor::debug_string(std::size_t worker) const {
       << " victim_steal_ewma_pm="
       << s.victim_steal_ewma_permille.load(std::memory_order_relaxed)
       << " migrations=" << s.migrations.load(std::memory_order_relaxed);
-  if (cfg_.worker_lost_ns != 0) {
-    out << " lost=" << s.lost.load(std::memory_order_relaxed)
-        << " hb_ns=" << s.hb_ns.load(std::memory_order_relaxed);
-  }
   return out.str();
 }
 

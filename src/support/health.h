@@ -68,32 +68,18 @@ struct config {
   // per budget_window before the idle loop escalates to sched_yield.
   std::uint32_t steal_budget = 64;
   std::uint64_t budget_window_ns = 1ull * 1000 * 1000;  // 1ms
-  // Worker-loss detection (DESIGN.md §11): a worker that misses this much
-  // of heartbeats while a run is active is declared lost. 0 (the default)
-  // disables the layer entirely — no beats, no polling, no recovery.
-  // Opt-in for the same reason as the watchdog: the heartbeat only moves
-  // at scheduling boundaries, so the deadline must exceed the longest
-  // single task. LCWS_WORKER_LOST_MS.
-  std::uint64_t worker_lost_ns = 0;
 
   // Reads LCWS_DEGRADE_OFF, LCWS_DEGRADE_FAIL_STREAK,
   // LCWS_DEGRADE_FAIL_PCT (percent, converted to permille),
   // LCWS_DEGRADE_MIN_WINDOW, LCWS_DEGRADE_PROBE_PERIOD,
   // LCWS_DEGRADE_RECOVER, LCWS_DEGRADE_RTT_US, LCWS_DEGRADE_CSW_PER_SEC,
-  // LCWS_DEGRADE_STEAL_BUDGET, LCWS_DEGRADE_BUDGET_WINDOW_US,
-  // LCWS_WORKER_LOST_MS.
+  // LCWS_DEGRADE_STEAL_BUDGET, LCWS_DEGRADE_BUDGET_WINDOW_US.
   static config from_env() noexcept;
 };
 
-// Outcome of an evidence update: `degraded`/`recovered`/`worker_lost` is
-// returned to exactly one caller per transition, so that caller can count
-// the event (and, for worker_lost, run the recovery protocol).
-enum class transition : unsigned char {
-  none,
-  degraded,
-  recovered,
-  worker_lost,
-};
+// Outcome of an evidence update: `degraded`/`recovered` is returned to
+// exactly one caller per transition, so that caller can count the event.
+enum class transition : unsigned char { none, degraded, recovered };
 
 class monitor {
  public:
@@ -105,79 +91,6 @@ class monitor {
 
   const config& cfg() const noexcept { return cfg_; }
   bool enabled() const noexcept { return cfg_.enabled; }
-
-  // Whether §11 worker-loss detection is armed (LCWS_WORKER_LOST_MS > 0).
-  // Independent of enabled(): LCWS_DEGRADE_OFF kills the signal-path
-  // degradation machinery, not crash containment.
-  bool loss_detection() const noexcept { return cfg_.worker_lost_ns != 0; }
-
-  // ---- worker-loss heartbeat (DESIGN.md §11) ------------------------------
-
-  // Owner-only: stamps this worker's heartbeat. Called at scheduling
-  // boundaries (find_task) — one relaxed store to the worker's own slot,
-  // and only when loss detection is armed, so the disarmed hot path is
-  // bit-for-bit legacy.
-  void beat(std::size_t self, std::uint64_t now_ns) noexcept {
-    slots_[self]->hb_ns.store(now_ns, std::memory_order_relaxed);
-  }
-
-  std::uint64_t last_beat_ns(std::size_t worker) const noexcept {
-    return slots_[worker]->hb_ns.load(std::memory_order_relaxed);
-  }
-
-  // One relaxed load: has `worker` been declared lost? Loss is irrevocable
-  // for the pool's lifetime — a wedged thread never resumes and an exited
-  // one never returns, so there is no un-lose edge to race with.
-  bool is_lost(std::size_t worker) const noexcept {
-    return slots_[worker]->lost.load(std::memory_order_relaxed);
-  }
-
-  // Pool-wide: any worker ever declared lost? One relaxed load; lets the
-  // steal path pay a single branch instead of a per-victim check.
-  bool any_lost() const noexcept {
-    return num_lost_.load(std::memory_order_relaxed) != 0;
-  }
-
-  std::uint64_t lost_count() const noexcept {
-    return num_lost_.load(std::memory_order_relaxed);
-  }
-
-  // Detector side, called from live workers' idle paths while a run is
-  // active. A worker whose heartbeat is older than worker_lost_ns —
-  // measured from max(last beat, run_epoch_ns), so beats from *before*
-  // this run can't read as stale at its start — is declared lost; the CAS
-  // hands `worker_lost` to exactly one detector, which runs recovery.
-  transition poll_worker_lost(std::size_t worker, std::uint64_t now_ns,
-                              std::uint64_t run_epoch_ns) noexcept {
-    auto& s = slots_[worker].get();
-    if (s.lost.load(std::memory_order_relaxed)) return transition::none;
-    std::uint64_t ref = s.hb_ns.load(std::memory_order_relaxed);
-    if (run_epoch_ns > ref) ref = run_epoch_ns;
-    if (now_ns <= ref || now_ns - ref < cfg_.worker_lost_ns) {
-      return transition::none;
-    }
-    bool expected = false;
-    if (!s.lost.compare_exchange_strong(expected, true,
-                                        std::memory_order_relaxed)) {
-      return transition::none;  // another detector won
-    }
-    num_lost_.fetch_add(1, std::memory_order_relaxed);
-    trace::emit(trace::event::worker_lost, worker);
-    return transition::worker_lost;
-  }
-
-  // Test hook: declare `worker` lost directly (same CAS arbitration).
-  transition force_lost(std::size_t worker) noexcept {
-    auto& s = slots_[worker].get();
-    bool expected = false;
-    if (!s.lost.compare_exchange_strong(expected, true,
-                                        std::memory_order_relaxed)) {
-      return transition::none;
-    }
-    num_lost_.fetch_add(1, std::memory_order_relaxed);
-    trace::emit(trace::event::worker_lost, worker);
-    return transition::worker_lost;
-  }
 
   // ---- signal-path state machine (per victim) ----------------------------
 
@@ -407,10 +320,6 @@ class monitor {
     std::atomic<std::uint32_t> victim_steal_ewma_permille{500};
     std::atomic<std::uint64_t> migrations{0};  // sched_getcpu drift; owner
                                                // writes, dumps read relaxed
-    // §11 worker-loss: heartbeat stamped by the owner at scheduling
-    // boundaries; `lost` CAS-set once by the winning detector.
-    std::atomic<std::uint64_t> hb_ns{0};
-    std::atomic<bool> lost{false};
     std::uint64_t last_sample_ns = 0;   // owner-only
     std::uint64_t last_nivcsw = 0;      // owner-only
     int last_cpu = -1;                  // owner-only
@@ -470,10 +379,6 @@ class monitor {
 
   const config cfg_;
   std::vector<cache_aligned<slot>> slots_;
-  // §11: pool-wide lost-worker count, read (relaxed) as the steal path's
-  // single any_lost() branch. Own line so the common all-alive case never
-  // shares a cache line with transitioning state.
-  alignas(cache_line_size) std::atomic<std::uint64_t> num_lost_{0};
 };
 
 // Oversubscription-aware steal budgeting: at most `budget` failed attempts

@@ -156,30 +156,6 @@ class parking_lot {
     return woken;
   }
 
-  // ---- worker-loss fencing (DESIGN.md §11) --------------------------------
-
-  // Fences slot `i` out of the lot: a worker declared lost must never be
-  // counted as a wakeable sleeper again (a permit delivered to a corpse is
-  // a wake another — live — worker needed). Retires any announcement it
-  // left behind so sleepers() stays honest, and marks the slot so every
-  // unpark path skips it from now on. Idempotent; called by the recovery
-  // winner, raced harmlessly by late detectors.
-  void mark_dead(std::size_t i) noexcept {
-    slot& s = *slots_[i];
-    s.dead.store(true, std::memory_order_relaxed);
-    if (s.announced.exchange(false, std::memory_order_acq_rel)) {
-      nsleepers_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    // A wedged-in-park corpse still holds a timed wait; hand it a permit so
-    // the underlying cv wait drains promptly (it re-checks its loop exit
-    // conditions on return — shutdown, lost-self — and halts).
-    deliver_permit(s);
-  }
-
-  bool is_dead(std::size_t i) const noexcept {
-    return slots_[i]->dead.load(std::memory_order_relaxed);
-  }
-
   // Wakes one announced/parked worker, scanning from `hint`. Returns true
   // iff a worker was claimed and given a permit.
   bool unpark_one(std::size_t hint = 0) {
@@ -188,7 +164,6 @@ class parking_lot {
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = (hint + k) % n;
       slot& s = *slots_[i];
-      if (s.dead.load(std::memory_order_relaxed)) continue;
       if (!s.announced.load(std::memory_order_relaxed)) continue;
       if (!s.announced.exchange(false, std::memory_order_acq_rel)) continue;
       nsleepers_.fetch_sub(1, std::memory_order_relaxed);
@@ -217,7 +192,6 @@ class parking_lot {
     std::size_t woken = 0;
     for (auto& sp : slots_) {
       slot& s = *sp;
-      if (s.dead.load(std::memory_order_relaxed)) continue;
       if (!s.announced.load(std::memory_order_relaxed)) continue;
       if (!s.announced.exchange(false, std::memory_order_acq_rel)) continue;
       nsleepers_.fetch_sub(1, std::memory_order_relaxed);
@@ -235,7 +209,6 @@ class parking_lot {
     std::condition_variable cv;
     bool permit = false;  // guarded by m; sticky until consumed by park()
     std::atomic<bool> announced{false};
-    std::atomic<bool> dead{false};  // §11: fenced out by mark_dead()
   };
 
   static void deliver_permit(slot& s) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -91,6 +92,26 @@ int sweep_seeds() {
   return 64;
 }
 
+// run() returns when the root task is done, but a thief may still be inside
+// one last exposure request: it has counted the request and not yet its
+// outcome (a pthread_kill, possibly with retry backoff). Poll until every
+// request has resolved to sent, failed or fallback, with a cap so a real
+// leak still fails the identity checks that follow.
+template <typename Sched>
+stats::op_counters settled_totals(Sched& sched) {
+  auto t = sched.profile().totals;
+  for (int i = 0; i < 2000; ++i) {
+    if (t.exposure_requests.get() == t.signals_sent.get() +
+                                         t.signals_failed.get() +
+                                         t.fallback_exposures.get()) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    t = sched.profile().totals;
+  }
+  return t;
+}
+
 class FaultSweep : public ::testing::TestWithParam<sched_kind> {
  protected:
   void TearDown() override { fi::disable(); }
@@ -124,7 +145,11 @@ TEST_P(FaultSweep, CompletesCorrectlyWithBalancedStatsUnderFaults) {
       // Balance: every pushed job consumed exactly once, every original
       // job executed exactly once (re-pushes from Lace unexposure are the
       // only double-counted pushes), and no counter went negative.
-      const auto t = sched.profile().totals;
+      const bool signal_family = kind == sched_kind::signal ||
+                                 kind == sched_kind::conservative ||
+                                 kind == sched_kind::expose_half;
+      const auto t =
+          signal_family ? settled_totals(sched) : sched.profile().totals;
       if (kind == sched_kind::wsmult) {
         // Multiplicity accounting (DESIGN.md §9): a wsmult "steal" is any
         // claim arbitration on an index the thief's snapshot said was
@@ -147,8 +172,7 @@ TEST_P(FaultSweep, CompletesCorrectlyWithBalancedStatsUnderFaults) {
       // Signal family: every counted exposure request resolved to exactly
       // one outcome — sent, recorded-failed, or (when the §6 health
       // monitor degraded the victim) routed through the user-space flag.
-      if (kind == sched_kind::signal || kind == sched_kind::conservative ||
-          kind == sched_kind::expose_half) {
+      if (signal_family) {
         EXPECT_EQ(t.exposure_requests.get(),
                   t.signals_sent.get() + t.signals_failed.get() +
                       t.fallback_exposures.get())
@@ -177,7 +201,7 @@ TEST(FaultDirected, SignalSendAlwaysFailsStillCompletes) {
   signal_scheduler sched(4);
   sched.reset_counters();
   EXPECT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u);
-  const auto t = sched.profile().totals;
+  const auto t = settled_totals(sched);
   EXPECT_EQ(t.signals_sent.get(), 0u);
   EXPECT_EQ(t.exposure_requests.get(),
             t.signals_failed.get() + t.fallback_exposures.get());
@@ -453,7 +477,7 @@ TEST(Degradation, SustainedSendFailuresTripFallbackThenRecover) {
           << "seed " << seed << " iter " << iter;
       degrades = sched.profile().totals.degrade_events.get();
     }
-    auto t = sched.profile().totals;
+    auto t = settled_totals(sched);
     EXPECT_GT(t.degrade_events.get(), 0u) << "seed " << seed;
     EXPECT_GT(t.fallback_exposures.get(), 0u) << "seed " << seed;
     EXPECT_EQ(t.signals_sent.get(), 0u) << "seed " << seed;
@@ -469,7 +493,7 @@ TEST(Degradation, SustainedSendFailuresTripFallbackThenRecover) {
           << "seed " << seed << " iter " << iter;
       recovers = sched.profile().totals.recover_events.get();
     }
-    t = sched.profile().totals;
+    t = settled_totals(sched);
     EXPECT_GT(t.recover_events.get(), 0u) << "seed " << seed;
     EXPECT_GE(t.degrade_events.get(), t.recover_events.get())
         << "seed " << seed;
@@ -508,7 +532,7 @@ TEST(Degradation, KillSwitchKeepsLegacyAccounting) {
   ASSERT_FALSE(sched.degradation_active());
   sched.reset_counters();
   EXPECT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u);
-  const auto t = sched.profile().totals;
+  const auto t = settled_totals(sched);
   EXPECT_EQ(t.degrade_events.get(), 0u);
   EXPECT_EQ(t.recover_events.get(), 0u);
   EXPECT_EQ(t.fallback_exposures.get(), 0u);
@@ -531,7 +555,7 @@ TEST(Degradation, FallbackCoversWholeSignalFamily) {
         ASSERT_EQ(sched.run([&] { return fib(sched, 16); }), 987u)
             << to_string(kind) << " iter " << iter;
       }
-      const auto t = sched.profile().totals;
+      const auto t = settled_totals(sched);
       EXPECT_EQ(t.signals_sent.get(), 0u) << to_string(kind);
       EXPECT_EQ(t.exposure_requests.get(),
                 t.signals_failed.get() + t.fallback_exposures.get())

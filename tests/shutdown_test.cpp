@@ -52,8 +52,15 @@ TEST_P(Shutdown, RepeatedRunCyclesOnOneInstance) {
       EXPECT_EQ(sched.run([&] { return fib(sched, 14); }), 377u) << cycle;
     }
     const auto t = sched.profile().totals;
-    EXPECT_EQ(t.pushes.get(),
-              t.pops_private.get() + t.pops_public.get() + t.steals.get());
+    if (GetParam() == sched_kind::wsmult) {
+      // Multiplicity accounting (DESIGN.md §9): a steal whose claim
+      // exchange lost consumed nothing, so only the claim winners count.
+      EXPECT_EQ(t.steals.get(), t.useful_steals.get() + t.claims_lost.get());
+      EXPECT_EQ(t.pushes.get(), t.pops_private.get() + t.useful_steals.get());
+    } else {
+      EXPECT_EQ(t.pushes.get(),
+                t.pops_private.get() + t.pops_public.get() + t.steals.get());
+    }
     EXPECT_EQ(t.tasks_executed.get(), t.pushes.get() - t.unexposures.get());
   });
 }
