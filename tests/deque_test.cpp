@@ -1007,6 +1007,10 @@ TEST(SplitDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   EXPECT_EQ(d.retired_buffers(), 0u);
 }
 
+// Chase-Lev steals are cheap enough that three unpaced thieves can keep the
+// deque under its initial 16 slots for the whole run. Pacing them to at most
+// a quarter of the pushes (plus one in-flight steal each) keeps the owner's
+// backlog growing, so the buffer is replaced repeatedly while thieves steal.
 TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   reclaim_domain dom;
   chase_lev_deque<int> d(16, &dom, grow_mode);
@@ -1017,6 +1021,8 @@ TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   auto arena = make_arena(total);
   std::atomic<bool> done{false};
   std::atomic<int> consumed{0};
+  std::atomic<int> published{0};
+  std::atomic<int> stolen{0};
 
   std::vector<std::thread> pool;
   for (int t = 0; t < thieves; ++t) {
@@ -1024,13 +1030,18 @@ TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
       const std::size_t reader = dom.register_reader();
       dom.quiesce(reader);
       while (!done.load(std::memory_order_acquire)) {
-        const auto r = d.pop_top();
-        if (r.status == steal_status::stolen) {
-          taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
-          consumed.fetch_add(1);
-        } else {
-          std::this_thread::yield();
+        bool got = false;
+        if (stolen.load(std::memory_order_relaxed) * 4 <
+            published.load(std::memory_order_relaxed)) {
+          const auto r = d.pop_top();
+          got = r.status == steal_status::stolen;
+          if (got) {
+            taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
+            stolen.fetch_add(1);
+            consumed.fetch_add(1);
+          }
         }
+        if (!got) std::this_thread::yield();
         dom.quiesce(reader);
       }
       dom.quiesce(reader);
@@ -1046,6 +1057,7 @@ TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
     if (pushed < total && rng.bounded(3) != 0) {
       d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
       ++pushed;
+      published.store(pushed, std::memory_order_relaxed);
     } else {
       if (int* t = d.pop_bottom()) {
         taken[static_cast<std::size_t>(*t)].fetch_add(1);

@@ -133,15 +133,17 @@ TEST(Integration, MixedPipelineAllSchedulers) {
 
 // The runner's counter profiles must reflect the family contracts on a
 // realistic workload (not just fib): WS exposes nothing; USLCWS signals
-// nothing; split-deque schedulers fence far less than WS.
+// nothing; split-deque schedulers fence far less than WS. The input must be
+// large enough that sample sort spawns thousands of tasks: at 60K it spawns
+// ~100, and with four truly parallel workers the steal-driven fences of the
+// split-deque families land within 5x of WS's per-task fences.
 TEST(Integration, RunnerProfilesMatchFamilyContracts) {
   pbbs::clear_input_cache();
   const pbbs::config cfg{"comparisonSort", "randomSeq_double"};
-  const auto ws = pbbs::run_config(sched_kind::ws, 4, cfg, 60000, 2, false);
-  const auto us =
-      pbbs::run_config(sched_kind::uslcws, 4, cfg, 60000, 2, false);
-  const auto sig =
-      pbbs::run_config(sched_kind::signal, 4, cfg, 60000, 2, false);
+  const std::size_t n = 300000;
+  const auto ws = pbbs::run_config(sched_kind::ws, 4, cfg, n, 2, false);
+  const auto us = pbbs::run_config(sched_kind::uslcws, 4, cfg, n, 2, false);
+  const auto sig = pbbs::run_config(sched_kind::signal, 4, cfg, n, 2, false);
 
   EXPECT_EQ(ws.profile.totals.exposures, 0u);
   EXPECT_EQ(ws.profile.totals.signals_sent, 0u);
