@@ -15,10 +15,13 @@
 //
 // Both kernels report wall seconds plus the steal-placement counters:
 // steals_near / steals_remote (near = SMT, core, or LLC tier) and the
-// near fraction. On hosts whose topology collapses to one tier — one
-// socket, no SMT, or a 1-CPU container — "near" and "remote" merge and
-// the near fraction is reported but not meaningful; scripts/perf_gate.py
-// applies the same caveat.
+// near fraction, and claims_lost: a wsmult "steal" whose claim exchange
+// lost is counted in steals but never classified (0 for the other
+// kinds), so near + remote == steals - claims_lost. On hosts whose
+// topology collapses to one tier — one socket, no SMT, or a 1-CPU
+// container — "near" and "remote" merge and the near fraction is
+// reported but not meaningful; scripts/perf_gate.py applies the same
+// caveat.
 //
 // Output: a human table plus, when LCWS_BENCH_JSON is set, one JSON object
 // per (kernel, kind, locality) cell with the raw numbers (used to produce
@@ -66,6 +69,7 @@ struct measurement {
   std::uint64_t steals = 0;
   std::uint64_t steals_near = 0;
   std::uint64_t steals_remote = 0;
+  std::uint64_t claims_lost = 0;
   double near_fraction = 0;
 };
 
@@ -92,6 +96,7 @@ measurement measure(sched_kind kind, locality_mode locality, int rounds,
         m.steals = t.steals;
         m.steals_near = t.steals_near;
         m.steals_remote = t.steals_remote;
+        m.claims_lost = t.claims_lost;
         m.near_fraction = sched.profile().near_steal_fraction();
       });
   return m;
@@ -108,11 +113,12 @@ void maybe_append_json(const char* kernel, sched_kind kind, const char* mode,
       "{\"benchmark\":\"locality_%s\",\"scheduler\":\"%s\","
       "\"locality\":\"%s\",\"procs\":%zu,\"seconds\":%.9f,"
       "\"steals\":%llu,\"steals_near\":%llu,\"steals_remote\":%llu,"
-      "\"near_fraction\":%.6f}\n",
+      "\"claims_lost\":%llu,\"near_fraction\":%.6f}\n",
       kernel, to_string(kind), mode, kWorkers, m.seconds,
       static_cast<unsigned long long>(m.steals),
       static_cast<unsigned long long>(m.steals_near),
-      static_cast<unsigned long long>(m.steals_remote), m.near_fraction);
+      static_cast<unsigned long long>(m.steals_remote),
+      static_cast<unsigned long long>(m.claims_lost), m.near_fraction);
   std::fclose(f);
 }
 

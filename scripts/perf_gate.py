@@ -7,9 +7,11 @@ Two kinds of checks, in decreasing order of trust:
 
   structural   invariants that hold on any host and any load: parking off
                => zero parks/wakes; locality off => zero near/remote steal
-               counts; locality on => steals == steals_near + steals_remote
-               (every successful steal classified exactly once). A
-               violation is a logic regression, never noise.
+               counts; locality on => steals_near + steals_remote ==
+               steals - claims_lost (every won steal classified exactly
+               once; a wsmult steal whose claim was lost took nothing and
+               is never classified, and claims_lost is 0 for every other
+               kind). A violation is a logic regression, never noise.
 
   ratio        timing comparisons with a generous noise margin. Within one
                run: locality-on must not be grossly slower than
@@ -155,19 +157,26 @@ def gate_idle_structural(rows):
     note(f"micro_idle structural invariants over {len(rows)} cells")
 
 
+def won_steals(row):
+    """Steals that took a task: a wsmult steal whose claim exchange lost is
+    counted in `steals` but took nothing (claims_lost is 0 elsewhere)."""
+    return row.get("steals", 0) - row.get("claims_lost", 0)
+
+
 def gate_locality_structural(rows):
     for r in rows:
         who = f"{r['benchmark']} {r['scheduler']} locality={r['locality']}"
         near = r.get("steals_near", 0)
         remote = r.get("steals_remote", 0)
-        steals = r.get("steals", 0)
         if r["locality"] == "off":
             if near != 0 or remote != 0:
                 fail(f"{who}: locality off but near/remote steals nonzero")
-        elif near + remote != steals:
+        elif near + remote != won_steals(r):
             fail(
                 f"{who}: steal classification leak: "
-                f"steals={steals} != near={near} + remote={remote}"
+                f"steals={r.get('steals', 0)} - "
+                f"claims_lost={r.get('claims_lost', 0)} != "
+                f"near={near} + remote={remote}"
             )
     note(f"locality structural invariants over {len(rows)} cells")
 
@@ -204,7 +213,7 @@ def gate_near_fraction(rows):
     if usable_cpus() < 2:
         skip("near-fraction gate: <2 usable CPUs, topology is flat")
         return
-    total = sum(r.get("steals", 0) for r in rows if r["locality"] == "on")
+    total = sum(won_steals(r) for r in rows if r["locality"] == "on")
     near = sum(r.get("steals_near", 0) for r in rows if r["locality"] == "on")
     if total < 50:
         skip(f"near-fraction gate: only {total} steals observed (<50)")

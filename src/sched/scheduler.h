@@ -4,9 +4,12 @@
 // Shape follows Parlay's scheduler (the paper's host runtime): the
 // constructing thread is worker 0 and participates in every computation;
 // P-1 additional workers are spawned once and persist. A fork (`pardo`)
-// pushes the right branch as a stack-allocated job onto the forker's deque,
-// runs the left branch inline, then joins by executing whatever work the
-// scheduler hands it until the right branch is done (help-first join).
+// pushes the right branch as a stack-allocated job onto the forker's deque
+// and runs the left branch inline. The join first pops the forker's own
+// deque once: unless a thief took it, that returns the right branch, which
+// then runs on the spot (the owner fast path, DESIGN.md §4 item 10).
+// Otherwise the forker executes whatever work the scheduler hands it until
+// the right branch is done (help-first join).
 //
 // The per-family scheduling logic — Listing 1 (USLCWS) and Listing 3
 // (signal-based) of the paper — lives in get_local()/try_steal() below and
@@ -78,9 +81,9 @@
 //     tier by power-of-two-choices on the health monitor's per-victim
 //     steal-success EWMA; every LCWS_EXPLORE_PERIOD-th pick is uniform so
 //     remote victims (and the §6 probe cadence) are never starved.
-//   * Successful steals are classified near/remote + per tier
-//     (stats/counters.h): steals == steals_near + steals_remote while the
-//     layer is on.
+//   * Steals that took a task are classified near/remote + per tier
+//     (stats/counters.h): steals - claims_lost == steals_near +
+//     steals_remote while the layer is on.
 //   * LCWS_LOCALITY_OFF=1 (or the constructor knob) removes the layer:
 //     no pinning, and victim choice is the legacy uniform rng draw
 //     bit-for-bit.
@@ -1310,7 +1313,32 @@ class scheduler {
 
   // ---- join / worker loop --------------------------------------------------
 
+  // Owner fast path (DESIGN.md §4 item 10): once left() has returned, the
+  // bottom of this worker's deque holds `waited` unless a thief took it, so
+  // one get_local() usually pops it back and it runs right here, with the
+  // counter bump and trace events run_task would emit. That skips
+  // find_task's quiesce (a skipped quiesce only delays reclamation), the
+  // found_task round trip and the help loop's setup and exit acquire (this
+  // thread published done itself).
   void join(std::size_t self, job& waited) {
+    job* task = get_local(self);
+    if (task == &waited) [[likely]] {
+      trace::emit(trace::event::task_begin, 0);
+      execute(task);
+      trace::emit(trace::event::task_end);
+      return;
+    }
+    help_join(self, waited, task);
+  }
+
+  // Help-first join: runs what the fast path popped instead of `waited`
+  // (wsmult's owner walk past a lost claim can return an older task), then
+  // executes whatever the scheduler hands this worker until `waited`, which
+  // a thief took, is done. Kept out of join() so the fast path stays small:
+  // with the loop inline, GCC calls get_local() out of line from both and
+  // the fork got slower than before (EXPERIMENTS.md).
+  void help_join(std::size_t self, job& waited, job* popped) {
+    if (popped != nullptr) run_task(self, {popped, false});
     backoff bo;
     std::uint32_t failures = 0;
     // Relaxed peek while helping; the acquire that orders the joined task's

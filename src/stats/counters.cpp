@@ -3,10 +3,6 @@
 #include <sstream>
 
 namespace lcws::stats {
-namespace {
-thread_local op_counters tl_fallback;
-thread_local op_counters* tl_active = nullptr;
-}  // namespace
 
 op_counters& op_counters::operator+=(const op_counters& other) noexcept {
   fences += other.fences;
@@ -90,12 +86,6 @@ op_counters operator-(op_counters a, const op_counters& b) noexcept {
   a.runs_cancelled -= b.runs_cancelled;
   return a;
 }
-
-op_counters& local_counters() noexcept {
-  return tl_active != nullptr ? *tl_active : tl_fallback;
-}
-
-void set_local_counters(op_counters* block) noexcept { tl_active = block; }
 
 profile aggregate(const std::vector<cache_aligned<op_counters>>& blocks) {
   profile p;

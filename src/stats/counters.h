@@ -89,12 +89,13 @@ struct op_counters {
   relaxed_counter claims_lost;     // steals whose claim exchange lost
   relaxed_counter dup_extractions; // claim arbitrations (any side) that
                                    // found the slot already claimed
-  // Locality split of successful steals (DESIGN.md §7). Maintained only
-  // while the locality layer is on; there the accounting identity
-  //   steals == steals_near + steals_remote
-  //          == sum(steals_by_tier)
-  // holds (equivalently steal_attempts == steals_near + steals_remote +
-  // failed attempts). With LCWS_LOCALITY_OFF all of these stay zero.
+  // Locality split of steals that took a task (DESIGN.md §7). Maintained
+  // only while the locality layer is on; there the accounting identity
+  //   steals - claims_lost == steals_near + steals_remote
+  //                        == sum(steals_by_tier)
+  // holds for every kind: a wsmult steal whose claim exchange lost took
+  // nothing and is never classified, and claims_lost is 0 elsewhere.
+  // With LCWS_LOCALITY_OFF all of these stay zero.
   relaxed_counter steals_near;     // victim shared a cache (smt/core/llc)
   relaxed_counter steals_remote;   // victim across an LLC/socket/NUMA edge
   relaxed_counter steals_by_tier[kStealTierCount];  // indexed by
@@ -197,14 +198,25 @@ struct profile {
 
 // ---- per-thread counting interface --------------------------------------
 
+namespace detail {
+inline thread_local op_counters tl_fallback;
+inline thread_local op_counters* tl_active = nullptr;
+}  // namespace detail
+
 // Returns the calling thread's active counter block. Worker pools point
 // this at a pool-owned, cache-aligned per-worker block for the duration of
-// a run; other threads fall back to a thread_local block.
-op_counters& local_counters() noexcept;
+// a run; other threads fall back to a thread_local block. Defined here so
+// each count_* on the fork path is a TLS load, not a call.
+inline op_counters& local_counters() noexcept {
+  return detail::tl_active != nullptr ? *detail::tl_active
+                                      : detail::tl_fallback;
+}
 
 // Redirects this thread's counting to `block` (nullptr restores the
 // thread_local fallback). Used by worker pools.
-void set_local_counters(op_counters* block) noexcept;
+inline void set_local_counters(op_counters* block) noexcept {
+  detail::tl_active = block;
+}
 
 #ifdef LCWS_NO_STATS
 inline void count_fence() noexcept {}

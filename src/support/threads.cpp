@@ -5,13 +5,6 @@
 #include <cstring>
 
 namespace lcws {
-namespace {
-thread_local std::size_t tl_worker_id = npos_worker;
-}  // namespace
-
-std::size_t this_worker_id() noexcept { return tl_worker_id; }
-
-void set_this_worker_id(std::size_t id) noexcept { tl_worker_id = id; }
 
 bool pin_this_thread(std::size_t cpu) noexcept {
   cpu_set_t set;

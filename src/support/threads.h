@@ -18,9 +18,16 @@ namespace lcws {
 // before it enters a pool).
 inline constexpr std::size_t npos_worker = static_cast<std::size_t>(-1);
 
-// Thread-local worker id, set by the worker pool on entry.
-std::size_t this_worker_id() noexcept;
-void set_this_worker_id(std::size_t id) noexcept;
+// Thread-local worker id, set by the worker pool on entry. Defined here so
+// every pardo reads it with one TLS load instead of a call into threads.cpp.
+namespace detail {
+inline thread_local std::size_t tl_worker_id = npos_worker;
+}  // namespace detail
+
+inline std::size_t this_worker_id() noexcept { return detail::tl_worker_id; }
+inline void set_this_worker_id(std::size_t id) noexcept {
+  detail::tl_worker_id = id;
+}
 
 // Best-effort: pins the calling thread to the given logical CPU. Returns
 // false (without failing the program) when pinning is not possible — e.g.

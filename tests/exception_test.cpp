@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "parallel/parallel_for.h"
 #include "parallel/parallel_invoke.h"
@@ -47,8 +48,15 @@ template <typename Sched>
 void expect_healthy(Sched& sched) {
   EXPECT_EQ(sched.run([&] { return fib(sched, 21); }), 10946u);
   const auto t = sched.profile().totals;
-  EXPECT_EQ(t.pushes.get(),
-            t.pops_private.get() + t.pops_public.get() + t.steals.get());
+  if constexpr (std::is_same_v<Sched, wsmult_scheduler>) {
+    // Multiplicity accounting (DESIGN.md §9): a steal whose claim exchange
+    // lost consumed nothing, so only the claim winners count.
+    EXPECT_EQ(t.steals.get(), t.useful_steals.get() + t.claims_lost.get());
+    EXPECT_EQ(t.pushes.get(), t.pops_private.get() + t.useful_steals.get());
+  } else {
+    EXPECT_EQ(t.pushes.get(),
+              t.pops_private.get() + t.pops_public.get() + t.steals.get());
+  }
   EXPECT_EQ(t.tasks_executed.get(), t.pushes.get() - t.unexposures.get());
 }
 
@@ -58,7 +66,13 @@ class ExceptionTest : public ::testing::Test {};
 using all_schedulers =
     ::testing::Types<ws_scheduler, uslcws_scheduler, signal_scheduler,
                      conservative_scheduler, expose_half_scheduler,
-                     private_deques_scheduler, lace_scheduler>;
+                     private_deques_scheduler, lace_scheduler,
+                     wsmult_scheduler>;
+
+// Worker counts for the branch-order tests. At P=1 every right branch is
+// popped back by its owner and runs on pardo's fast path; at P=4 a thief
+// may take it instead.
+constexpr std::size_t kOrderTestWorkers[] = {1, 4};
 
 TYPED_TEST_SUITE(ExceptionTest, all_schedulers);
 
@@ -72,38 +86,45 @@ TYPED_TEST(ExceptionTest, RightBranchThrowRethrowsAtSpawnSite) {
 }
 
 TYPED_TEST(ExceptionTest, LeftBranchThrowStillDrainsRight) {
-  TypeParam sched(4);
-  std::atomic<bool> right_ran{false};
-  try {
-    sched.run([&] {
-      sched.pardo(
-          [] { throw test_error("left"); },
-          [&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            right_ran.store(true, std::memory_order_relaxed);
-          });
-    });
-    FAIL() << "expected test_error";
-  } catch (const test_error& e) {
-    EXPECT_STREQ(e.what(), "left");
+  for (const std::size_t workers : kOrderTestWorkers) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    TypeParam sched(workers);
+    std::atomic<bool> right_ran{false};
+    try {
+      sched.run([&] {
+        sched.pardo(
+            [] { throw test_error("left"); },
+            [&] {
+              std::this_thread::sleep_for(std::chrono::milliseconds(10));
+              right_ran.store(true, std::memory_order_relaxed);
+            });
+      });
+      FAIL() << "expected test_error";
+    } catch (const test_error& e) {
+      EXPECT_STREQ(e.what(), "left");
+    }
+    // The drain guarantee: pardo must not unwind before its sibling is
+    // done.
+    EXPECT_TRUE(right_ran.load(std::memory_order_relaxed));
+    expect_healthy(sched);
   }
-  // The drain guarantee: pardo must not unwind before its sibling is done.
-  EXPECT_TRUE(right_ran.load(std::memory_order_relaxed));
-  expect_healthy(sched);
 }
 
 TYPED_TEST(ExceptionTest, BothBranchesThrowLeftWins) {
-  TypeParam sched(4);
-  try {
-    sched.run([&] {
-      sched.pardo([] { throw test_error("left"); },
-                  [] { throw test_error("right"); });
-    });
-    FAIL() << "expected test_error";
-  } catch (const test_error& e) {
-    EXPECT_STREQ(e.what(), "left");
+  for (const std::size_t workers : kOrderTestWorkers) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    TypeParam sched(workers);
+    try {
+      sched.run([&] {
+        sched.pardo([] { throw test_error("left"); },
+                    [] { throw test_error("right"); });
+      });
+      FAIL() << "expected test_error";
+    } catch (const test_error& e) {
+      EXPECT_STREQ(e.what(), "left");
+    }
+    expect_healthy(sched);
   }
-  expect_healthy(sched);
 }
 
 // A task that throws after announcing it has started. With the spawner

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sched/dispatch.h"
@@ -24,7 +25,8 @@ class SchedulerTest : public ::testing::Test {};
 using all_schedulers =
     ::testing::Types<ws_scheduler, uslcws_scheduler, signal_scheduler,
                      conservative_scheduler, expose_half_scheduler,
-                     private_deques_scheduler, lace_scheduler>;
+                     private_deques_scheduler, lace_scheduler,
+                     wsmult_scheduler>;
 
 TYPED_TEST_SUITE(SchedulerTest, all_schedulers);
 
@@ -169,8 +171,16 @@ TYPED_TEST(SchedulerTest, ProfileCountsTasks) {
   // task, so each unexposure adds one push without adding an execution.
   EXPECT_GT(p.totals.pushes, 0u);
   EXPECT_EQ(p.totals.tasks_executed + p.totals.unexposures, p.totals.pushes);
-  EXPECT_EQ(p.totals.pops_private + p.totals.pops_public + p.totals.steals,
-            p.totals.pushes);
+  if constexpr (std::is_same_v<TypeParam, wsmult_scheduler>) {
+    // Multiplicity accounting (DESIGN.md §9): a steal whose claim exchange
+    // lost consumed nothing, so only the claim winners count.
+    EXPECT_EQ(p.totals.steals, p.totals.useful_steals + p.totals.claims_lost);
+    EXPECT_EQ(p.totals.pops_private + p.totals.useful_steals,
+              p.totals.pushes);
+  } else {
+    EXPECT_EQ(p.totals.pops_private + p.totals.pops_public + p.totals.steals,
+              p.totals.pushes);
+  }
 }
 
 TYPED_TEST(SchedulerTest, ResetCountersZeroes) {
