@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build and run the full test suite under both presets
 # (release and ThreadSanitizer), then an AddressSanitizer+UBSan pass over
-# the hardening suites (exception propagation, fault injection + graceful
-# degradation, watchdog, cancellation, shutdown/quiescence, health
-# monitor, deque overflow) where memory errors would hide behind rare
-# interleavings.
+# the hardening suites (exception propagation, fault injection, watchdog,
+# cancellation, shutdown/quiescence, deque overflow) where memory errors
+# would hide behind rare interleavings.
 #
 # Slow stress sweeps carry the `stress` ctest label; pass LCWS_QUICK=1 to
 # exclude them (`ctest -LE stress`) for a fast local iteration loop, and
@@ -39,15 +38,16 @@ for preset in default tsan; do
   ctest --preset "${preset}" -j "${jobs}" "${label_filter[@]}" "$@"
 done
 
-# Perf gate: release microbenches (micro_idle, locality, micro_deque,
-# degraded_mode) against the committed BENCH_*.json baselines. Structural
-# invariants are strict (including the growable deques' zero-added-fence/
-# CAS proof and the wsmult deque's 0-fence/0-CAS take+steal); timing
-# gates carry a generous noise margin and skip on tiny hosts.
+# Perf gate: release microbenches (micro_idle, locality, micro_deque, and
+# the fig3/fig8 profiles) against the committed BENCH_*.json baselines.
+# Structural invariants are strict (including the growable deques'
+# zero-added-fence/CAS proof and the wsmult deque's 0-fence/0-CAS
+# take+steal); timing gates carry a generous noise margin and skip on tiny
+# hosts.
 echo "== perf gate (release benches vs committed baselines) =="
 missing_baselines=()
 for b in BENCH_idle.json BENCH_locality.json BENCH_deque.json \
-         BENCH_degraded.json BENCH_fig3.json BENCH_fig8.json; do
+         BENCH_fig3.json BENCH_fig8.json; do
   [[ -f "$b" ]] || missing_baselines+=("$b")
 done
 if (( ${#missing_baselines[@]} )); then
@@ -72,5 +72,5 @@ echo "== preset: asan (hardening suites) =="
 cmake --preset asan
 cmake --build --preset asan -j "${jobs}"
 ctest --preset asan -j "${jobs}" \
-  -R '([Ee]xception|[Ff]ault|[Ww]atchdog|[Dd]eque|[Ss]hutdown|[Hh]ealth|[Dd]egrad|DumpOnExit|StealThrottle|Backoff|[Tt]race|PerfCounters|Cancel)' \
+  -R '([Ee]xception|[Ff]ault|[Ww]atchdog|[Dd]eque|[Ss]hutdown|DumpOnExit|Backoff|[Tt]race|PerfCounters|Cancel)' \
   "${label_filter[@]}" "$@"

@@ -10,8 +10,8 @@ with LCWS_TRACE=<file> (src/stats/trace.h). Prints, per worker:
   * steal latency percentiles: time from a steal_attempt instant to the
     steal_success/steal_loss instant that resolves it
   * park episode count + parked time
-and, pool-wide: steal totals, exposure request/answer totals, degrade /
-recover / pressure / deque_grow / quiesce counts, dropped-event counts.
+and, pool-wide: steal totals, exposure request/answer totals, deque_grow /
+quiesce counts, dropped-event counts.
 
 --json prints the same summary as one JSON object (machine consumers:
 tests, CI). --check additionally enforces trace semantics and exits
@@ -159,9 +159,6 @@ def summarize(doc, check=False):
             "steal_loss",
             "exposure_request",
             "exposure_answer",
-            "degrade",
-            "recover",
-            "pressure",
             "deque_grow",
             "quiesce",
             "unpark",
@@ -195,12 +192,11 @@ def print_human(s):
     print(
         "  pool: tasks={tasks} steals={steal_success}/{steal_attempt} "
         "exposure req/ans={exposure_request}/{exposure_answer} "
-        "degrade/recover={degrade}/{recover} pressure_edges={pressure} "
         "grows={deque_grow} quiesces={quiesce} parks={park_episodes}".format(
             **{k: t.get(k, 0) for k in (
                 "tasks", "steal_success", "steal_attempt",
-                "exposure_request", "exposure_answer", "degrade", "recover",
-                "pressure", "deque_grow", "quiesce", "park_episodes")}
+                "exposure_request", "exposure_answer", "deque_grow",
+                "quiesce", "park_episodes")}
         )
     )
 

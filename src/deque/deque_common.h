@@ -17,7 +17,7 @@ class reclaim_domain;
 inline constexpr std::size_t default_deque_soft_cap = std::size_t{1} << 20;
 
 // Growth policy, read from the environment at construction time (the same
-// pattern as the health/locality knobs):
+// pattern as the locality knobs):
 //   LCWS_DEQUE_FIXED=1      restore the legacy bounded behaviour: a push
 //                           past capacity throws deque_overflow_error and
 //                           the deque never grows or reallocates.

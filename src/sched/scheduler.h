@@ -51,25 +51,11 @@
 //     (dropped/delayed/unsendable exposure signals) and parking_lot.h
 //     (spurious wakeups) can be armed deterministically; zero-cost
 //     otherwise.
-//
-// Graceful degradation (DESIGN.md §6, support/health.h):
-//   * Signal fallback: a per-victim health monitor watches exposure-signal
-//     delivery (send failures, handler round-trip latency). When it trips,
-//     thieves route that victim's exposure requests through the USLCWS
-//     user-space flag (the victim polls it in get_local, exactly Listing
-//     1's protocol) and probe the signal path every few requests; sustained
-//     probe success restores it. Transitions and routed requests are
-//     counted (degrade_events / recover_events / fallback_exposures), and
-//     the signal-family balance widens to
-//     exposure_requests == signals_sent + signals_failed +
-//     fallback_exposures.
-//   * Oversubscription-aware stealing: idle workers sample involuntary
-//     context switches (getrusage) and their steal-success EWMA; under
-//     preemption pressure they burn a bounded steal-attempt budget per
-//     deadline window, then escalate the shared backoff straight to
-//     sched_yield and park after a quarter of the usual fruitless rounds.
-//   * LCWS_DEGRADE_OFF=1 disables the whole layer; the hot paths are then
-//     bit-for-bit the legacy protocol (no new fences, CAS, or atomics).
+//   * Signal-send failure (DESIGN.md §5.4, §6): Listing 3 is the signal
+//     family's only path. A send that fails is counted in signals_failed
+//     and the thief clears the victim's targeted flag so a later thief can
+//     try again; every exposure request resolves to exactly one of
+//     signals_sent or signals_failed.
 //   * LCWS_DUMP_ON_EXIT emits dump_worker_state() at destruction ("1" or
 //     "stderr" to stderr, anything else appends to that file path).
 //
@@ -78,9 +64,9 @@
 //     carries a distance-ordered victim table built at construction from
 //     the sysfs topology (support/topology.h). steal_once picks a tier
 //     with geometric bias toward near victims, then a victim within the
-//     tier by power-of-two-choices on the health monitor's per-victim
-//     steal-success EWMA; every LCWS_EXPLORE_PERIOD-th pick is uniform so
-//     remote victims (and the §6 probe cadence) are never starved.
+//     tier by power-of-two-choices on the pool's per-victim steal-success
+//     EWMA (victim_steal_ewma_); every LCWS_EXPLORE_PERIOD-th pick is
+//     uniform so remote victims are never starved.
 //   * Steals that took a task are classified near/remote + per tier
 //     (stats/counters.h): steals - claims_lost == steals_near +
 //     steals_remote while the layer is on.
@@ -132,7 +118,6 @@
 #include "support/align.h"
 #include "support/backoff.h"
 #include "support/fault_injection.h"
-#include "support/health.h"
 #include "support/parking_lot.h"
 #include "support/rng.h"
 #include "support/threads.h"
@@ -159,13 +144,13 @@ class scheduler {
                      locality_mode locality = locality_mode::env_default)
       : nworkers_(num_workers == 0 ? 1 : num_workers),
         targeted_(nworkers_),
+        victim_steal_ewma_(nworkers_),
         counters_(nworkers_),
         lot_(nworkers_),
         parking_(parking_enabled(parking) && nworkers_ > 1),
         loc_cfg_(locality_config::from_env()),
         locality_(locality_enabled(locality, loc_cfg_) && nworkers_ > 1),
         seed_(env_seed()),
-        health_(nworkers_, health::config::from_env()),
         dump_on_exit_([] {
           const char* s = std::getenv("LCWS_DUMP_ON_EXIT");
           return s == nullptr ? std::string() : std::string(s);
@@ -186,6 +171,10 @@ class scheduler {
     // any thread runs, so the steal hot path never builds or allocates.
     cpu_of_worker_.assign(nworkers_, -1);
     if (locality_) {
+      // Unexplored victims start at the neutral midpoint and compete evenly.
+      for (auto& ewma : victim_steal_ewma_) {
+        ewma->store(500, std::memory_order_relaxed);
+      }
       topo_ = probe_topology();
       const std::vector<int> order = pin_order(topo_, loc_cfg_.pin);
       if (!order.empty()) {
@@ -583,14 +572,12 @@ class scheduler {
       if (locality_) {
         out << " cpu=" << cpu_of_worker_[i]
             << " near/remote=" << c.steals_near.get() << "/"
-            << c.steals_remote.get();
+            << c.steals_remote.get() << " steal_ewma_pm="
+            << victim_steal_ewma_[i]->load(std::memory_order_relaxed);
       }
       out << " exposures=" << c.exposures.get()
           << " idle_loops=" << c.idle_loops.get()
           << " parks=" << c.parks.get();
-      if (health_.enabled()) {
-        out << " health{" << health_.debug_string(i) << "}";
-      }
       if (hw_enabled_) {
         const hw_slot& s = hw_slots_[i].get();
         out << " hw{state=" << s.state.load(std::memory_order_relaxed)
@@ -608,9 +595,6 @@ class scheduler {
     return out.str();
   }
 
-  // Whether the §6 degradation layer is active (LCWS_DEGRADE_OFF unset).
-  bool degradation_active() const noexcept { return health_.enabled(); }
-
   // Whether §7 locality-aware victim selection is in effect for this pool.
   bool locality_active() const noexcept { return locality_; }
 
@@ -625,15 +609,6 @@ class scheduler {
                              std::size_t victim) const noexcept {
     return workers_[self]->victims.tier_of(victim);
   }
-
-  // Relaxed snapshot of one victim's signal-path state (test/diagnostic).
-  bool is_degraded(std::size_t worker) const noexcept {
-    return health_.enabled() && health_.is_degraded(worker);
-  }
-
-  // Direct access to the health monitor (force_degraded and the other test
-  // hooks).
-  health::monitor& health_monitor() noexcept { return health_; }
 
   // Test/diagnostic access.
   deque_type& deque_of(std::size_t worker) noexcept {
@@ -673,14 +648,10 @@ class scheduler {
   struct worker_state {
     worker_state(scheduler* p, std::size_t i, std::size_t deque_capacity,
                  std::uint64_t rng_seed)
-        : pool(p),
-          id(i),
+        : id(i),
           reader(p->reclaim_.register_reader()),
           deque(deque_capacity, &p->reclaim_, p->growth_cfg_),
-          rng(rng_seed),
-          throttle(p->health_.cfg().steal_budget,
-                   p->health_.cfg().budget_window_ns) {}
-    scheduler* const pool;     // back-pointer for the exposure trampoline
+          rng(rng_seed) {}
     const std::size_t id;
     // Reclamation reader slot (DESIGN.md §8): registered before any run()
     // — and therefore before any growth — per reclaim_domain's contract.
@@ -689,7 +660,6 @@ class scheduler {
     xoshiro256 rng;            // victim selection; owner-only
     pthread_t handle{};        // published before ready_ increments
     steal_box<job> mail;       // mailbox family: this worker's answer box
-    health::steal_throttle throttle;  // §6 steal budget; owner-only
     victim_selector victims;   // §7 distance-ordered table; owner-only
     std::uint32_t park_timeout_us = kParkMinUs;  // adaptive; owner-only
     stats::perf_group hw;      // §10 per-thread counters; owner-only
@@ -783,18 +753,13 @@ class scheduler {
   }
 
   // SIGUSR1 lands here on the victim's thread (signal family only):
-  // transfer work to the public part in constant time (Section 4). The
-  // health tick is a relaxed load+store on this thread's own slot —
-  // async-signal-safe — and lets thieves measure the exposure round trip.
+  // transfer work to the public part in constant time (Section 4).
   static void exposure_trampoline(void* ctx) noexcept {
     auto* ws = static_cast<worker_state*>(ctx);
     Policy::expose(ws->deque);
     // Relaxed stores into this thread's own ring are async-signal-safe;
     // see trace.h for the mid-emit reentrancy contract.
     trace::emit(trace::event::exposure_answer, ws->id);
-    if (ws->pool->health_.enabled()) {
-      ws->pool->health_.note_handler_ran(ws->id);
-    }
   }
 
   // ---- wake chain ---------------------------------------------------------
@@ -862,27 +827,13 @@ class scheduler {
       return d.pop_bottom();
     } else {  // signal family
       job* task = Policy::pop_local(d);
-      if (task != nullptr) {
-        if (health_.enabled() && health_.is_degraded(self)) [[unlikely]] {
-          answer_fallback_request(self, d);
-        }
-        return task;
-      }
+      if (task != nullptr) return task;
       task = d.pop_public_bottom();
       if (task != nullptr) {
         // A task left the public part: allow new notifications.
         targeted_[self]->store(false, std::memory_order_relaxed);
-        return task;
       }
-      if (health_.enabled() && health_.is_degraded(self)) [[unlikely]] {
-        // Going idle: answer (and clear) any pending fallback request now.
-        // A request can land just after our last private pop — without this
-        // the flag would stay set across the park, and a set flag gates
-        // future requests, which would starve the probe cadence and make
-        // recovery unreachable.
-        answer_fallback_request(self, d);
-      }
-      return nullptr;
+      return task;
     }
   }
 
@@ -980,155 +931,24 @@ class scheduler {
         // parked — no wake needed; the handler's exposure is harvested by
         // this (awake) thief on a later round.
         auto& flag = targeted_[victim].get();
-        const bool pending = flag.load(std::memory_order_relaxed);
-        if (!pending && Policy::should_signal(d)) {
-          if (!health_.enabled()) {
-            // Legacy path, bit-for-bit (LCWS_DEGRADE_OFF).
-            flag.store(true, std::memory_order_relaxed);
-            stats::count_exposure_request();
-            trace::emit(trace::event::exposure_request, victim);
-            if (detail::send_exposure_request(workers_[victim]->handle)) {
-              stats::count_signal_sent();
-            } else {
-              // Delivery failed even after send_exposure_request's retry
-              // budget (counted in signals_failed). Leaving the flag set
-              // would permanently suppress signalling this victim; clear
-              // it so a later thief can try again.
-              flag.store(false, std::memory_order_relaxed);
-            }
+        if (!flag.load(std::memory_order_relaxed) &&
+            Policy::should_signal(d)) {
+          flag.store(true, std::memory_order_relaxed);
+          stats::count_exposure_request();
+          trace::emit(trace::event::exposure_request, victim);
+          if (detail::send_exposure_request(workers_[victim]->handle)) {
+            stats::count_signal_sent();
           } else {
-            request_exposure_monitored(victim, flag);
+            // Delivery failed even after send_exposure_request's retry
+            // budget (counted in signals_failed). Leaving the flag set
+            // would permanently suppress signalling this victim; clear it
+            // so a later thief can try again.
+            flag.store(false, std::memory_order_relaxed);
           }
-        } else if (pending && health_.enabled() &&
-                   health_.is_degraded(victim) && Policy::should_signal(d)) {
-          // The victim is degraded and a request is already pending. That
-          // flag may be stale — set in the race window after the victim's
-          // last poll, so nobody will ever answer it. Re-requesting keeps
-          // the probe cadence (and thus recovery) alive; accounting stays
-          // balanced because each re-request resolves to exactly one of
-          // fallback_exposures / signals_sent / signals_failed like any
-          // other request.
-          request_exposure_monitored(victim, flag);
         }
       }
     }
     return nullptr;
-  }
-
-  // ---- graceful degradation (signal family; DESIGN.md §6) -----------------
-
-  // Counts a state-machine transition on the observing thief's block.
-  // Exactly one caller per transition sees a non-none value (the monitor's
-  // compare_exchange picks the winner), so the counters stay exact.
-  static void note_transition(health::transition t) noexcept {
-    if (t == health::transition::degraded) {
-      stats::count_degrade_event();
-    } else if (t == health::transition::recovered) {
-      stats::count_recover_event();
-    }
-  }
-
-  // One exposure request with the health monitor in the loop. Accounting
-  // invariant: every request resolves to exactly one of signals_sent,
-  // signals_failed or fallback_exposures.
-  //
-  //   healthy --send fails (streak/EWMA)--> degraded
-  //   degraded: requests set the user-space flag (fallback_exposures);
-  //             every probe_period-th request probes the signal path
-  //   degraded --recover_streak successful probes--> healthy
-  void request_exposure_monitored(std::size_t victim,
-                                  std::atomic<bool>& flag) {
-    const std::uint64_t now = monotonic_ns();
-    // Resolve a pending round-trip measurement first: a timed-out handler
-    // is (EWMA) evidence even when sends keep succeeding.
-    note_transition(health_.poll_rtt(victim, now));
-    flag.store(true, std::memory_order_relaxed);
-    stats::count_exposure_request();
-    trace::emit(trace::event::exposure_request, victim);
-    if (!health_.is_degraded(victim)) {
-      int attempts = 1;
-      if (detail::send_exposure_request(workers_[victim]->handle,
-                                        &attempts)) {
-        stats::count_signal_sent();
-        health_.note_send_ok(victim, attempts);
-        health_.arm_rtt(victim, now);
-        return;
-      }
-      const health::transition t = health_.note_send_failure(victim);
-      note_transition(t);
-      if (t == health::transition::degraded) {
-        // This very request converts in place: the flag stays set and the
-        // victim answers it through the user-space poll in get_local.
-        return;
-      }
-      // Still healthy: legacy behavior — clear so a later thief retries.
-      flag.store(false, std::memory_order_relaxed);
-      return;
-    }
-    // Degraded: the request rides the user-space flag. Periodically probe
-    // the signal path so sustained recovery can restore it.
-    if (health_.should_probe(victim)) {
-      int attempts = 1;
-      if (detail::send_exposure_request(workers_[victim]->handle,
-                                        &attempts)) {
-        stats::count_signal_sent();
-        note_transition(health_.note_probe_ok(victim));
-        health_.arm_rtt(victim, now);
-      } else {
-        // Probe failed (already in signals_failed); the flag stays set —
-        // the user-space poll still answers this request.
-        health_.note_probe_failure(victim);
-      }
-      return;
-    }
-    stats::count_fallback_exposure();
-  }
-
-  // Degraded-mode victim side: the USLCWS poll (Listing 1 lines 12-16)
-  // grafted onto the signal family — requests routed user-space are
-  // answered here, at task granularity, instead of by the SIGUSR1 handler.
-  void answer_fallback_request(std::size_t self, deque_type& d) {
-    auto& flag = targeted_[self].get();
-    if (!flag.load(std::memory_order_relaxed)) return;
-    flag.store(false, std::memory_order_relaxed);
-    // A probe signal may still be in flight; its handler would run this
-    // same exposure reentrantly on this thread — harmless for the deque
-    // (same-value stores) but it would double-count exposure stats. Block
-    // it for the duration (cold path: degraded victims only).
-    detail::scoped_exposure_block guard;
-    const bool exposed = Policy::expose(d) > 0;
-    trace::emit(trace::event::exposure_answer, self);
-    // The exposed task is stealable right now; hand it to a sleeper.
-    if (exposed && parking_ && lot_.sleepers() != 0) wake_one(self);
-  }
-
-  // Oversubscription-aware idle step (health enabled): sample preemption
-  // at the park boundary and periodically thereafter; under pressure burn
-  // the steal-attempt budget, then cede the CPU outright — a preempted
-  // victim cannot expose anything while we spin over it. Returns true when
-  // it yielded (the caller skips its backoff pause).
-  bool idle_pressure_step(std::size_t self, std::uint32_t failures,
-                          backoff& bo) {
-    if (failures == kParkAfterFailures || (failures & 1023u) == 0) {
-      health_.sample_preemption(self, monotonic_ns());
-    }
-    if (health_.pressure(self) &&
-        workers_[self]->throttle.note_attempt(monotonic_ns())) {
-      bo.escalate();
-      std::this_thread::yield();
-      return true;
-    }
-    return false;
-  }
-
-  // Degraded workers park earlier: under preemption pressure a quarter of
-  // the usual fruitless-round budget — the CPU is provably contended, so
-  // ceding it beats spinning for work that cannot appear any faster.
-  std::uint32_t park_threshold(std::size_t self) const {
-    if (health_.enabled() && health_.pressure(self)) {
-      return kParkAfterFailures >= 4 ? kParkAfterFailures / 4 : 1;
-    }
-    return kParkAfterFailures;
   }
 
   // LCWS_DUMP_ON_EXIT: post-mortem snapshot at destruction. The dump
@@ -1160,7 +980,7 @@ class scheduler {
                                 : trace::event::steal_loss,
                 victim);
     if (locality_) {
-      health_.note_victim_steal(victim, task != nullptr);
+      note_victim_steal(victim, task != nullptr);
       if (task != nullptr) {
         const locality_tier tier = workers_[self]->victims.tier_of(victim);
         stats::count_locality_steal(static_cast<std::size_t>(tier),
@@ -1168,6 +988,18 @@ class scheduler {
       }
     }
     return task;
+  }
+
+  // Folds one steal outcome into `victim`'s success EWMA (permille, shift-3
+  // smoothing): how often does stealing from it pay off, for anyone?
+  // Thieves race on the slot; a lost update costs one observation, which
+  // the EWMA absorbs.
+  void note_victim_steal(std::size_t victim, bool success) noexcept {
+    auto& ewma = victim_steal_ewma_[victim].get();
+    const std::uint32_t prev = ewma.load(std::memory_order_relaxed);
+    const std::uint32_t obs = success ? 1000u : 0u;
+    ewma.store(prev + (static_cast<std::int32_t>(obs - prev) / 8),
+               std::memory_order_relaxed);
   }
 
   job* steal_once(std::size_t self) {
@@ -1182,7 +1014,7 @@ class scheduler {
       victim = ws.victims.pick(
           ws.rng,
           [this](std::size_t v) {
-            return health_.victim_steal_ewma_permille(v);
+            return victim_steal_ewma_[v]->load(std::memory_order_relaxed);
           },
           &explored);
       if (explored) stats::count_locality_explore();
@@ -1191,11 +1023,7 @@ class scheduler {
       victim = ws.rng.bounded(nworkers_ - 1);
       if (victim >= self) ++victim;  // uniform over the other workers
     }
-    job* task = steal_from(self, victim);
-    // Steal-success EWMA feeds the §6 pressure signal (owner-only slot;
-    // one relaxed load+store, nothing when degradation is off).
-    if (health_.enabled()) health_.note_steal_outcome(self, task != nullptr);
-    return task;
+    return steal_from(self, victim);
   }
 
   found_task find_task(std::size_t self) {
@@ -1352,9 +1180,7 @@ class scheduler {
       } else {
         stats::count_idle_loop();
         ++failures;
-        const bool yielded =
-            health_.enabled() && idle_pressure_step(self, failures, bo);
-        if (parking_ && failures >= park_threshold(self)) {
+        if (parking_ && failures >= kParkAfterFailures) {
           if (found_task f = park_idle(self, &waited)) {
             run_task(self, f);
             bo.reset();
@@ -1362,7 +1188,7 @@ class scheduler {
           }
           // Fruitless episode: keep `failures` saturated — one probe per
           // wake, then straight back to a (longer) sleep.
-        } else if (!yielded) {
+        } else {
           bo.pause();
         }
       }
@@ -1412,9 +1238,7 @@ class scheduler {
       }
       stats::count_idle_loop();
       ++failures;
-      const bool yielded =
-          health_.enabled() && idle_pressure_step(id, failures, bo);
-      if (parking_ && failures >= park_threshold(id)) {
+      if (parking_ && failures >= kParkAfterFailures) {
         if (found_task f = park_idle(id, nullptr)) {
           run_task(id, f);
           bo.reset();
@@ -1422,7 +1246,7 @@ class scheduler {
         }
         continue;
       }
-      if (!yielded) bo.pause();
+      bo.pause();
     }
     finalize_worker_hw(id);
     unregister_worker();
@@ -1438,6 +1262,9 @@ class scheduler {
   const deque_growth growth_cfg_ = deque_growth::from_env();
   std::vector<std::unique_ptr<worker_state>> workers_;
   std::vector<cache_aligned<std::atomic<bool>>> targeted_;
+  // §7 per-victim steal-success EWMA (permille) that victim_selector::pick
+  // weighs; written only while locality_ is on (note_victim_steal).
+  std::vector<cache_aligned<std::atomic<std::uint32_t>>> victim_steal_ewma_;
   mutable std::vector<cache_aligned<stats::op_counters>> counters_;
   std::vector<std::thread> threads_;
   parking_lot lot_;
@@ -1448,7 +1275,6 @@ class scheduler {
   cpu_topology topo_;                // probed once when locality_ is on
   std::vector<int> cpu_of_worker_;   // -1 = unpinned
   saved_affinity saved_affinity_;    // worker 0's pre-pin mask
-  health::monitor health_;  // §6 degradation layer (LCWS_DEGRADE_*)
   const std::string dump_on_exit_;  // LCWS_DUMP_ON_EXIT; empty = off
   std::unique_ptr<watchdog> dog_;  // LCWS_WATCHDOG_MS; null when disabled
   trace::tracer tracer_;    // §10 event rings (LCWS_TRACE; empty = off)

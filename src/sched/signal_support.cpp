@@ -73,66 +73,34 @@ void set_exposure_hook(exposure_hook hook, void* context) noexcept {
 
 void clear_exposure_hook() noexcept { tl_hook = hook_slot{}; }
 
-namespace {
-
-// Total pthread_kill attempts per exposure request (LCWS_SIGNAL_RETRIES
-// counts the *re*tries on top of the first attempt). Resolved once.
-int send_attempt_budget() noexcept {
-  static const int budget = [] {
-    if (const char* s = std::getenv("LCWS_SIGNAL_RETRIES")) {
-      const long n = std::strtol(s, nullptr, 10);
-      if (n >= 0 && n <= 64) return static_cast<int>(n) + 1;
-    }
-    return 3;  // 1 attempt + 2 retries
-  }();
-  return budget;
-}
-
-}  // namespace
-
-bool send_exposure_request(pthread_t target, int* attempts_out) noexcept {
+bool send_exposure_request(pthread_t target) noexcept {
+  constexpr int kAttempts = 3;  // the first send plus two retries
   // pthread_kill returns the error instead of setting errno, so the send
   // itself is errno-clean; the backoff below may yield(), whose syscall
   // can clobber errno, so save/restore it — this path runs on thief
   // threads, potentially between a user task's syscall and its errno
   // check.
   const int saved_errno = errno;
-  const int budget = send_attempt_budget();
   backoff bo(/*spins_before_yield=*/4);
-  int attempts = 0;
-  for (;;) {
+  for (int attempts = 1;; ++attempts) {
     const int rc = fi::inject(fi::site::signal_send)
                        ? EAGAIN
                        : pthread_kill(target, exposure_signal());
-    ++attempts;
     if (rc == 0) {
-      if (attempts_out != nullptr) *attempts_out = attempts;
       errno = saved_errno;
       return true;
     }
-    // ESRCH is permanent — the target thread is gone — so it skips the
-    // retries; transient failures (e.g. EAGAIN when the kernel's signal
-    // queue is full) back off exponentially until the budget is spent.
-    if (rc == ESRCH || attempts >= budget) break;
+    // ESRCH (the target thread is gone) is permanent and skips the
+    // retries. It is also the only error pthread_kill can report for
+    // SIGUSR1, so the retries run only under the signal_send fault site.
+    if (rc == ESRCH || attempts >= kAttempts) break;
     bo.pause();
   }
-  if (attempts_out != nullptr) *attempts_out = attempts;
-  // Not silent: the caller observes `false` (and un-targets the victim or
-  // degrades it), and the profile records the delivery failure.
+  // Not silent: the caller observes `false` (and un-targets the victim),
+  // and the profile records the delivery failure.
   stats::count_signal_failed();
   errno = saved_errno;
   return false;
-}
-
-scoped_exposure_block::scoped_exposure_block() noexcept {
-  sigset_t block;
-  sigemptyset(&block);
-  sigaddset(&block, exposure_signal());
-  pthread_sigmask(SIG_BLOCK, &block, &old_mask_);
-}
-
-scoped_exposure_block::~scoped_exposure_block() noexcept {
-  pthread_sigmask(SIG_SETMASK, &old_mask_, nullptr);
 }
 
 unsigned long long handler_invocations() noexcept {

@@ -32,36 +32,16 @@ void install_exposure_handler();
 void set_exposure_hook(exposure_hook hook, void* context) noexcept;
 void clear_exposure_hook() noexcept;
 
-// Sends an exposure request to `target`. Distinguishes permanent failure
-// (ESRCH: the thread already exited) from transient failure (e.g. EAGAIN,
-// kernel signal queue full), retrying the latter under the shared
-// exponential backoff until the LCWS_SIGNAL_RETRIES budget (default 3
-// attempts total) is spent. Returns false — and records the event in the
-// `signals_failed` stats counter — only when delivery definitively failed;
-// callers should then clear the victim's targeted flag (or, with the
-// health monitor enabled, feed the failure to the degradation state
-// machine). When `attempts_out` is non-null it receives the number of
-// pthread_kill attempts made — retries consumed are health-monitor
-// evidence even when the send eventually succeeds.
-bool send_exposure_request(pthread_t target,
-                           int* attempts_out = nullptr) noexcept;
-
-// Blocks the exposure signal for the calling thread over its scope.
-// Used by the degraded-mode owner-side exposure (scheduler::get_local):
-// the owner runs the same Policy::expose the SIGUSR1 handler would, and a
-// late probe signal landing mid-exposure would re-enter it — harmless for
-// the deque (same-value stores) but it would double-count exposure stats.
-// Cold path only (degraded victims, ~one sigmask syscall pair per poll).
-class scoped_exposure_block {
- public:
-  scoped_exposure_block() noexcept;
-  ~scoped_exposure_block() noexcept;
-  scoped_exposure_block(const scoped_exposure_block&) = delete;
-  scoped_exposure_block& operator=(const scoped_exposure_block&) = delete;
-
- private:
-  sigset_t old_mask_;
-};
+// Sends an exposure request to `target`, making up to 3 pthread_kill
+// attempts. For SIGUSR1 pthread_kill can fail only with ESRCH (the thread
+// already exited), which is permanent and returns at once: a pending
+// non-real-time signal is merged with the new one, not queued, so EAGAIN
+// cannot occur. The retries, paced by the shared backoff, therefore run
+// only when the fault injector's signal_send site fails an attempt.
+// Returns false — and records the event in the `signals_failed` stats
+// counter — only when delivery failed; the caller then clears the
+// victim's targeted flag so a later thief can try again.
+bool send_exposure_request(pthread_t target) noexcept;
 
 // Test hook: number of times the handler ran in this process.
 unsigned long long handler_invocations() noexcept;

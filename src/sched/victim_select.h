@@ -12,14 +12,14 @@
 //   1. Tier: geometric bias toward near tiers — one RNG draw, one bit per
 //      non-empty tier: stay with probability 1/2, else escalate, with the
 //      farthest non-empty tier absorbing the remainder.
-//   2. Victim within the tier: power-of-two-choices on the health
-//      monitor's per-victim steal-success EWMA (support/health.h) — two
-//      uniform candidates, keep the historically better one. O(1), no
-//      weight prefix sums, and stale EWMAs only cost one pick.
+//   2. Victim within the tier: power-of-two-choices on the per-victim
+//      steal-success EWMA that the scheduler keeps beside its targeted
+//      flags (scheduler::note_victim_steal) — two uniform candidates,
+//      keep the historically better one. O(1), no weight prefix sums,
+//      and stale EWMAs only cost one pick.
 //
 // Every explore_period-th pick bypasses both levels and samples uniformly
-// over *all* victims, so remote or cold victims are never starved and the
-// §6 degradation machinery keeps seeing every victim's signal path.
+// over *all* victims, so remote or cold victims are never starved.
 //
 // Cost contract: pick() is allocation- and fence-free — a few xoshiro
 // draws plus relaxed EWMA loads through the caller's weight functor. The

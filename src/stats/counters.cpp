@@ -29,9 +29,6 @@ op_counters& op_counters::operator+=(const op_counters& other) noexcept {
   unexposures += other.unexposures;
   signals_sent += other.signals_sent;
   signals_failed += other.signals_failed;
-  degrade_events += other.degrade_events;
-  recover_events += other.recover_events;
-  fallback_exposures += other.fallback_exposures;
   deque_grows += other.deque_grows;
   // High-water mark: aggregation takes the max across workers, not a sum.
   if (other.deque_hwm.get() > deque_hwm.get()) deque_hwm = other.deque_hwm;
@@ -70,9 +67,6 @@ op_counters operator-(op_counters a, const op_counters& b) noexcept {
   a.unexposures -= b.unexposures;
   a.signals_sent -= b.signals_sent;
   a.signals_failed -= b.signals_failed;
-  a.degrade_events -= b.degrade_events;
-  a.recover_events -= b.recover_events;
-  a.fallback_exposures -= b.fallback_exposures;
   a.deque_grows -= b.deque_grows;
   // deque_hwm is a max, not a sum: differencing is meaningless, so the
   // delta keeps a's observed mark (bench deltas over an interval report
@@ -117,9 +111,6 @@ std::string format_profile(const profile& p) {
       << " unexposures=" << t.unexposures
       << " signals_sent=" << t.signals_sent
       << " signals_failed=" << t.signals_failed << "\n"
-      << "degrade_events=" << t.degrade_events
-      << " recover_events=" << t.recover_events
-      << " fallback_exposures=" << t.fallback_exposures << "\n"
       << "deque_grows=" << t.deque_grows << " deque_hwm=" << t.deque_hwm
       << " spawns_inline=" << t.spawns_inline << "\n"
       << "tasks_executed=" << t.tasks_executed

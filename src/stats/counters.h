@@ -110,17 +110,10 @@ struct op_counters {
                                    // (Lace-style schedulers only)
   relaxed_counter signals_sent;    // pthread_kill(SIGUSR1) system calls
   relaxed_counter signals_failed;  // exposure sends that failed delivery
-                                   // even after the retry-budget backoff
-  relaxed_counter degrade_events;  // health monitor trips: a victim's
-                                   // signal path switched to fallback
-  relaxed_counter recover_events;  // ... and sustained probes restored it
-  relaxed_counter fallback_exposures;  // exposure requests routed through
-                                       // the user-space flag (no signal
-                                       // attempted) while degraded; the
-                                       // signal-family balance becomes
-                                       // exposure_requests == signals_sent
-                                       //   + signals_failed
-                                       //   + fallback_exposures
+                                   // (ESRCH, or every attempt of the fixed
+                                   // retry budget); signal family:
+                                   // exposure_requests == signals_sent
+                                   //   + signals_failed
   relaxed_counter deque_grows;     // slow-path deque growth events (the
                                    // owner doubled its slot storage)
   relaxed_counter deque_hwm;       // max outstanding tasks observed in this
@@ -241,9 +234,6 @@ inline void count_exposure_request() noexcept {}
 inline void count_unexposure(std::uint64_t n = 1) noexcept { (void)n; }
 inline void count_signal_sent() noexcept {}
 inline void count_signal_failed() noexcept {}
-inline void count_degrade_event() noexcept {}
-inline void count_recover_event() noexcept {}
-inline void count_fallback_exposure() noexcept {}
 inline void count_deque_grow() noexcept {}
 inline void count_deque_hwm(std::uint64_t size) noexcept { (void)size; }
 inline void count_spawn_inline() noexcept {}
@@ -303,15 +293,6 @@ inline void count_unexposure(std::uint64_t n = 1) noexcept {
 inline void count_signal_sent() noexcept { ++local_counters().signals_sent; }
 inline void count_signal_failed() noexcept {
   ++local_counters().signals_failed;
-}
-inline void count_degrade_event() noexcept {
-  ++local_counters().degrade_events;
-}
-inline void count_recover_event() noexcept {
-  ++local_counters().recover_events;
-}
-inline void count_fallback_exposure() noexcept {
-  ++local_counters().fallback_exposures;
 }
 inline void count_deque_grow() noexcept { ++local_counters().deque_grows; }
 // Max-update: records the largest deque size this worker ever held.

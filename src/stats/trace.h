@@ -49,9 +49,6 @@ enum class event : std::uint8_t {
   park_begin,
   park_end,
   unpark,            // arg: worker id being woken (emitted on the waker)
-  degrade,           // arg: victim worker id whose signal path tripped
-  recover,           // arg: victim worker id restored to the signal path
-  pressure,          // arg: 1 entering oversubscription pressure, 0 leaving
   deque_grow,        // arg: new capacity
   quiesce,           // arg: own worker id (cold-path reclaim quiesce only)
   hw_cycles,         // arg: cumulative cycles sampled on this worker
@@ -73,9 +70,6 @@ inline const char* to_string(event e) noexcept {
     case event::park_begin: return "park";
     case event::park_end: return "park_end";
     case event::unpark: return "unpark";
-    case event::degrade: return "degrade";
-    case event::recover: return "recover";
-    case event::pressure: return "pressure";
     case event::deque_grow: return "deque_grow";
     case event::quiesce: return "quiesce";
     case event::hw_cycles: return "cycles";

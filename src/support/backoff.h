@@ -44,11 +44,6 @@ class backoff {
 
   void reset() noexcept { step_ = 0; }
 
-  // Jumps straight past the pause stages: every subsequent pause() yields.
-  // Used when external evidence (preemption pressure from the health
-  // monitor) already proves that spinning can only starve the victim.
-  void escalate() noexcept { step_ = yield_threshold_; }
-
   std::uint32_t step() const noexcept { return step_; }
 
  private:

@@ -29,8 +29,8 @@ class stopwatch {
   clock::time_point start_;
 };
 
-// Monotonic now() in nanoseconds, for code that timestamps events (health
-// monitoring, steal-budget windows) rather than measuring an interval.
+// Monotonic now() in nanoseconds, for code that timestamps events (the
+// trace rings) rather than measuring an interval.
 inline std::uint64_t monotonic_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

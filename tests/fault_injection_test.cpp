@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "deque/wsmult_deque.h"
 #include "parallel/parallel_for.h"
@@ -95,15 +94,14 @@ int sweep_seeds() {
 // run() returns when the root task is done, but a thief may still be inside
 // one last exposure request: it has counted the request and not yet its
 // outcome (a pthread_kill, possibly with retry backoff). Poll until every
-// request has resolved to sent, failed or fallback, with a cap so a real
-// leak still fails the identity checks that follow.
+// request has resolved to sent or failed, with a cap so a real leak still
+// fails the identity checks that follow.
 template <typename Sched>
 stats::op_counters settled_totals(Sched& sched) {
   auto t = sched.profile().totals;
   for (int i = 0; i < 2000; ++i) {
-    if (t.exposure_requests.get() == t.signals_sent.get() +
-                                         t.signals_failed.get() +
-                                         t.fallback_exposures.get()) {
+    if (t.exposure_requests.get() ==
+        t.signals_sent.get() + t.signals_failed.get()) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -170,17 +168,12 @@ TEST_P(FaultSweep, CompletesCorrectlyWithBalancedStatsUnderFaults) {
           << to_string(kind) << " seed " << seed;
       EXPECT_GE(t.steal_attempts.get(), t.steals.get() + t.steal_aborts.get());
       // Signal family: every counted exposure request resolved to exactly
-      // one outcome — sent, recorded-failed, or (when the §6 health
-      // monitor degraded the victim) routed through the user-space flag.
+      // one outcome, sent or recorded-failed.
       if (signal_family) {
         EXPECT_EQ(t.exposure_requests.get(),
-                  t.signals_sent.get() + t.signals_failed.get() +
-                      t.fallback_exposures.get())
+                  t.signals_sent.get() + t.signals_failed.get())
             << to_string(kind) << " seed " << seed;
       }
-      // State-machine sanity: a victim can only recover after degrading.
-      EXPECT_GE(t.degrade_events.get(), t.recover_events.get())
-          << to_string(kind) << " seed " << seed;
     });
     fi::disable();
   }
@@ -192,22 +185,67 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(info.param));
     });
 
-// Directed test: with pthread_kill forced to fail 100% of the time, the
-// signal family must fall back — completing correctly — and account every
-// request as either a recorded-failed send (healthy phase + probes) or a
-// user-space-routed fallback exposure (degraded phase).
-TEST(FaultDirected, SignalSendAlwaysFailsStillCompletes) {
+// setenv/unsetenv scope guard; the scheduler reads its LCWS_* knobs once at
+// construction, so guards must outlive the pool under test.
+class scoped_env {
+ public:
+  scoped_env(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      had_old_ = true;
+      old_ = old;
+    }
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~scoped_env() {
+    if (had_old_) {
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_old_ = false;
+};
+
+// Directed test, one instance per signal-family kind: with pthread_kill
+// forced to fail 100% of the time, every exposure request takes Listing
+// 3's failure branch (the thief clears the victim's flag so a later thief
+// can retry). Runs must still complete correctly, without a watchdog
+// stall, and every request must be accounted as a recorded-failed send.
+// The unparameterized FaultDirected tests form their own suite.
+class FaultDirected : public ::testing::TestWithParam<sched_kind> {
+ protected:
+  void TearDown() override { fi::disable(); }
+};
+
+TEST_P(FaultDirected, SignalSendAlwaysFailsStillCompletes) {
+  const sched_kind kind = GetParam();
+  scoped_env dog("LCWS_WATCHDOG_MS", "4000");
   fi::configure(7, /*rate_permille=*/1000, fi::site_bit(fi::site::signal_send));
-  signal_scheduler sched(4);
-  sched.reset_counters();
-  EXPECT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u);
-  const auto t = settled_totals(sched);
-  EXPECT_EQ(t.signals_sent.get(), 0u);
-  EXPECT_EQ(t.exposure_requests.get(),
-            t.signals_failed.get() + t.fallback_exposures.get());
-  EXPECT_EQ(t.recover_events.get(), 0u);  // sends never start working
-  fi::disable();
+  with_scheduler(kind, 4, [&](auto& sched) {
+    ASSERT_TRUE(sched.watchdog_active());
+    sched.reset_counters();
+    for (int iter = 0; iter < 8; ++iter) {
+      ASSERT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u)
+          << to_string(kind) << " iter " << iter;
+    }
+    const auto t = settled_totals(sched);
+    EXPECT_EQ(t.signals_sent.get(), 0u) << to_string(kind);
+    EXPECT_EQ(t.exposure_requests.get(), t.signals_failed.get())
+        << to_string(kind);
+  });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SignalFamily, FaultDirected,
+    ::testing::Values(sched_kind::signal, sched_kind::conservative,
+                      sched_kind::expose_half),
+    [](const ::testing::TestParamInfo<sched_kind>& info) {
+      return std::string(to_string(info.param));
+    });
 
 // Directed test: every exposure signal delivered but dropped by the
 // handler — the victim simply keeps and executes its own work.
@@ -375,194 +413,6 @@ TEST(FaultDirected, SpuriousWakeupsEverywhereStillCompletes) {
   sched.reset_counters();
   EXPECT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u);
   fi::disable();
-}
-
-// ---------------------------------------------------------------------------
-// Graceful degradation (DESIGN.md §6)
-// ---------------------------------------------------------------------------
-
-// setenv/unsetenv scope guard; the scheduler reads LCWS_DEGRADE_* once at
-// construction, so guards must outlive the pool under test.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~scoped_env() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
-// CPU burn competing with the pool. The degradation scenarios need thieves
-// to observe victims holding private work, which on a lightly loaded (or
-// single-CPU) host never happens: a small fib run completes inside one
-// scheduling quantum, so the owner is never preempted mid-run and no
-// exposure request is ever issued. Spinners force the preemption the
-// paper's multiprogramming regime assumes.
-class corun_load {
- public:
-  explicit corun_load(int threads) {
-    for (int i = 0; i < threads; ++i) {
-      spinners_.emplace_back([this] {
-        volatile std::uint64_t sink = 0;
-        while (!stop_.load(std::memory_order_relaxed)) {
-          for (int j = 0; j < 4096; ++j) sink = sink + 1;
-        }
-      });
-    }
-  }
-  ~corun_load() {
-    stop_.store(true, std::memory_order_relaxed);
-    for (auto& t : spinners_) t.join();
-  }
-
- private:
-  std::atomic<bool> stop_{false};
-  std::vector<std::thread> spinners_;
-};
-
-// Balanced fork tree whose leaves burn real CPU (~10-20us each), so one
-// run spans many OS scheduling quanta. fib with its sequential cutoff is
-// too fast here: the whole run fits inside a single quantum, the owner is
-// never descheduled while holding private work, and the trip/recover
-// machinery would have nothing to observe.
-template <typename Sched>
-std::uint64_t burn_tree(Sched& sched, unsigned depth) {
-  if (depth == 0) {
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 20000; ++i) sink = sink + 1;
-    return 1;
-  }
-  std::uint64_t l = 0, r = 0;
-  sched.pardo([&] { l = burn_tree(sched, depth - 1); },
-              [&] { r = burn_tree(sched, depth - 1); });
-  return l + r;
-}
-
-// The satellite scenario: sustained forced signal_send failures must trip
-// the fallback (degrade_events > 0, correct results, balanced counters),
-// and ceasing the failures must trip recovery — across >= 16 seeds.
-TEST(Degradation, SustainedSendFailuresTripFallbackThenRecover) {
-  // Tight hysteresis so one short fib run per phase can observe both
-  // transitions: trip after 2 consecutive failures, probe every 2nd
-  // request, restore after 1 successful probe.
-  scoped_env streak("LCWS_DEGRADE_FAIL_STREAK", "2");
-  scoped_env probe("LCWS_DEGRADE_PROBE_PERIOD", "2");
-  scoped_env recover("LCWS_DEGRADE_RECOVER", "1");
-  corun_load load(2);
-  for (int seed = 0; seed < 16; ++seed) {
-    fi::configure(static_cast<std::uint64_t>(seed) * 0x51ed2701ULL + 11,
-                  /*rate_permille=*/1000, fi::site_bit(fi::site::signal_send));
-    signal_scheduler sched(4);
-    ASSERT_TRUE(sched.degradation_active());
-    sched.reset_counters();
-    // Phase 1 — failures forced: keep running until some victim trips
-    // (two requests against one victim suffice; the bound is generous).
-    std::uint64_t degrades = 0;
-    for (int iter = 0; iter < 32 && degrades == 0; ++iter) {
-      ASSERT_EQ(sched.run([&] { return burn_tree(sched, 8); }), 256u)
-          << "seed " << seed << " iter " << iter;
-      degrades = sched.profile().totals.degrade_events.get();
-    }
-    auto t = settled_totals(sched);
-    EXPECT_GT(t.degrade_events.get(), 0u) << "seed " << seed;
-    EXPECT_GT(t.fallback_exposures.get(), 0u) << "seed " << seed;
-    EXPECT_EQ(t.signals_sent.get(), 0u) << "seed " << seed;
-    EXPECT_EQ(t.exposure_requests.get(),
-              t.signals_failed.get() + t.fallback_exposures.get())
-        << "seed " << seed;
-    // Phase 2 — failures cease: probes start landing and sustained
-    // success must restore the signal path.
-    fi::disable();
-    std::uint64_t recovers = 0;
-    for (int iter = 0; iter < 32 && recovers == 0; ++iter) {
-      ASSERT_EQ(sched.run([&] { return burn_tree(sched, 8); }), 256u)
-          << "seed " << seed << " iter " << iter;
-      recovers = sched.profile().totals.recover_events.get();
-    }
-    t = settled_totals(sched);
-    EXPECT_GT(t.recover_events.get(), 0u) << "seed " << seed;
-    EXPECT_GE(t.degrade_events.get(), t.recover_events.get())
-        << "seed " << seed;
-    EXPECT_GT(t.signals_sent.get(), 0u) << "seed " << seed;
-    EXPECT_EQ(t.exposure_requests.get(),
-              t.signals_sent.get() + t.signals_failed.get() +
-                  t.fallback_exposures.get())
-        << "seed " << seed;
-  }
-}
-
-// The degraded pool must keep making task-level progress (no watchdog
-// stall) while every signal send fails.
-TEST(Degradation, NoStallUnderWatchdogWhileDegraded) {
-  scoped_env streak("LCWS_DEGRADE_FAIL_STREAK", "2");
-  scoped_env dog("LCWS_WATCHDOG_MS", "4000");
-  fi::configure(21, /*rate_permille=*/1000,
-                fi::site_bit(fi::site::signal_send));
-  signal_scheduler sched(4);
-  ASSERT_TRUE(sched.watchdog_active());
-  sched.reset_counters();
-  for (int iter = 0; iter < 8; ++iter) {
-    ASSERT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u) << iter;
-  }
-  fi::disable();
-}
-
-// Kill switch: with LCWS_DEGRADE_OFF=1 the legacy protocol runs
-// bit-for-bit — no degradation counters move and the original
-// sent+failed balance holds even under forced send failures.
-TEST(Degradation, KillSwitchKeepsLegacyAccounting) {
-  scoped_env off("LCWS_DEGRADE_OFF", "1");
-  fi::configure(31, /*rate_permille=*/1000,
-                fi::site_bit(fi::site::signal_send));
-  signal_scheduler sched(4);
-  ASSERT_FALSE(sched.degradation_active());
-  sched.reset_counters();
-  EXPECT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u);
-  const auto t = settled_totals(sched);
-  EXPECT_EQ(t.degrade_events.get(), 0u);
-  EXPECT_EQ(t.recover_events.get(), 0u);
-  EXPECT_EQ(t.fallback_exposures.get(), 0u);
-  EXPECT_EQ(t.signals_sent.get(), 0u);
-  EXPECT_EQ(t.exposure_requests.get(), t.signals_failed.get());
-  fi::disable();
-}
-
-// Conservative and ExposeHalf share the signal-family machinery; a spot
-// check that the fallback completes correctly there too.
-TEST(Degradation, FallbackCoversWholeSignalFamily) {
-  scoped_env streak("LCWS_DEGRADE_FAIL_STREAK", "2");
-  for (const sched_kind kind :
-       {sched_kind::conservative, sched_kind::expose_half}) {
-    fi::configure(41, /*rate_permille=*/1000,
-                  fi::site_bit(fi::site::signal_send));
-    with_scheduler(kind, 4, [&](auto& sched) {
-      sched.reset_counters();
-      for (int iter = 0; iter < 8; ++iter) {
-        ASSERT_EQ(sched.run([&] { return fib(sched, 16); }), 987u)
-            << to_string(kind) << " iter " << iter;
-      }
-      const auto t = settled_totals(sched);
-      EXPECT_EQ(t.signals_sent.get(), 0u) << to_string(kind);
-      EXPECT_EQ(t.exposure_requests.get(),
-                t.signals_failed.get() + t.fallback_exposures.get())
-          << to_string(kind);
-    });
-    fi::disable();
-  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -90,35 +89,6 @@ TEST_P(Shutdown, ThrowThenReuseThenDestroy) {
         std::runtime_error);
     EXPECT_EQ(sched.run([&] { return fib(sched, 15); }), 610u);
   });
-}
-
-// Shutdown racing an active §6 degrade->recover episode: victims flip
-// between degraded and healthy while computations run (probes, fallback
-// exposures and recovery all in flight), and the pool is destroyed with
-// one victim still degraded and another mid-flip — no quiescence, no
-// forced recovery. The destructor must deliver shutdown to workers that
-// believe their victim table is in every possible episode state.
-TEST_P(Shutdown, DestructionMidDegradeRecoverEpisode) {
-  with_scheduler(GetParam(), 4, [&](auto& sched) {
-    auto& health = sched.health_monitor();
-    std::atomic<bool> stop{false};
-    std::thread flipper([&] {
-      bool on = true;
-      while (!stop.load(std::memory_order_relaxed)) {
-        (void)health.force_degraded(1, on);
-        (void)health.force_degraded(2, !on);
-        on = !on;
-        std::this_thread::yield();
-      }
-    });
-    for (int cycle = 0; cycle < 8; ++cycle) {
-      EXPECT_EQ(sched.run([&] { return fib(sched, 13); }), 233u) << cycle;
-    }
-    stop.store(true, std::memory_order_relaxed);
-    flipper.join();
-    // Leave the episode open: a degraded victim at destruction time.
-    (void)health.force_degraded(1, true);
-  });  // destroyed mid-episode; no recovery ever happens
 }
 
 INSTANTIATE_TEST_SUITE_P(
