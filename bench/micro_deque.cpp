@@ -8,37 +8,26 @@
 //   default             the google-benchmark timing suite below.
 //
 //   LCWS_BENCH_JSON=f   deterministic structural pass (used to produce
-//                       BENCH_deque.json and by scripts/perf_gate.py):
-//                       each scenario runs a fixed 65536-op script twice —
-//                       once with storage preallocated, once growing from
-//                       64 slots — and reports the exact fence/CAS/grow
-//                       counter deltas as JSON Lines. The counts are
-//                       load-independent, so the gate can require
-//                       bit-equality: growth must add zero fences and
-//                       zero CAS to the fast path, the split deque's
-//                       private fill+drain must stay at exactly zero of
-//                       both, and the wsmult deque must report zero
-//                       fences and zero CAS on BOTH its fill_drain and
-//                       steal scenarios (the fig3-style proof that owner
-//                       take and thief steal are fully fence/CAS-free).
+//                       BENCH_deque.json): runs the scripted scenarios of
+//                       deque_scenarios.h and appends each cell's exact
+//                       fence/CAS/grow/high-water-mark counts and wall time
+//                       as JSON Lines. deque_test's DequeStructural suite
+//                       checks the counts against the committed file;
+//                       scripts/perf_gate.py compares the timings.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
 #include "deque/abp_deque.h"
-#include "deque/chase_lev_deque.h"
 #include "deque/split_deque.h"
 #include "deque/wsmult_deque.h"
-#include "stats/counters.h"
+#include "deque_scenarios.h"
 
 namespace {
 
 using lcws::abp_deque;
-using lcws::chase_lev_deque;
-using lcws::deque_growth;
 using lcws::split_deque;
 using lcws::wsmult_deque;
 
@@ -52,17 +41,6 @@ void BM_AbpPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AbpPushPop);
-
-void BM_ChaseLevPushPop(benchmark::State& state) {
-  chase_lev_deque<int> d(1024);
-  int task = 0;
-  for (auto _ : state) {
-    d.push_bottom(&task);
-    benchmark::DoNotOptimize(d.pop_bottom());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ChaseLevPushPop);
 
 void BM_SplitPushPopOriginal(benchmark::State& state) {
   split_deque<int> d(1024);
@@ -169,7 +147,7 @@ void BM_SplitGrowthRamp(benchmark::State& state) {
   constexpr int kRamp = 1 << 16;
   int task = 0;
   for (auto _ : state) {
-    split_deque<int> d(64, nullptr, deque_growth{false, 0});
+    split_deque<int> d(64);
     for (int i = 0; i < kRamp; ++i) d.push_bottom(&task);
     for (int i = 0; i < kRamp; ++i) {
       benchmark::DoNotOptimize(d.pop_bottom_original());
@@ -183,139 +161,17 @@ BENCHMARK(BM_SplitGrowthRamp)->Unit(benchmark::kMillisecond);
 // Structural mode (LCWS_BENCH_JSON)
 // ---------------------------------------------------------------------------
 
-constexpr int kOps = 1 << 16;        // fixed op count: counters, not time
-constexpr std::size_t kGrowStart = 64;  // 64 -> 65536 is exactly 10 doublings
-
-struct cell {
-  const char* scenario;
-  const char* deque;
-  const char* mode;  // "prealloc" | "grow"
-  double seconds = 0;
-  lcws::stats::op_counters delta;
-};
-
-// Runs `body` under a counter snapshot and wall clock.
-template <typename Body>
-cell measure(const char* scenario, const char* deque, const char* mode,
-             Body&& body) {
-  cell c{scenario, deque, mode, 0, {}};
-  const lcws::stats::op_counters before = lcws::stats::local_counters();
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  const auto t1 = std::chrono::steady_clock::now();
-  c.delta = lcws::stats::local_counters() - before;
-  c.seconds = std::chrono::duration<double>(t1 - t0).count();
-  return c;
-}
-
-// mode=="grow" starts at kGrowStart slots and must double its way up;
-// "prealloc" starts with all kOps slots so no growth path ever runs.
-std::size_t start_capacity(const char* mode) {
-  return mode[0] == 'g' ? kGrowStart : static_cast<std::size_t>(kOps);
-}
-
-cell split_fill_drain(const char* mode) {
-  return measure("fill_drain", "split", mode, [&] {
-    split_deque<int> d(start_capacity(mode), nullptr, deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_bottom_original();
-  });
-}
-
-cell abp_fill_drain(const char* mode) {
-  return measure("fill_drain", "abp", mode, [&] {
-    abp_deque<int> d(start_capacity(mode), nullptr, deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_bottom();
-  });
-}
-
-cell chase_lev_fill_drain(const char* mode) {
-  return measure("fill_drain", "chase_lev", mode, [&] {
-    chase_lev_deque<int> d(start_capacity(mode), nullptr,
-                           deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_bottom();
-  });
-}
-
-cell wsmult_fill_drain(const char* mode) {
-  return measure("fill_drain", "wsmult", mode, [&] {
-    wsmult_deque<int> d(start_capacity(mode), nullptr,
-                        deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_bottom();
-  });
-}
-
-cell split_steal(const char* mode) {
-  return measure("steal", "split", mode, [&] {
-    split_deque<int> d(start_capacity(mode), nullptr, deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) {
-      d.push_bottom(&task);
-      d.expose_one();
-    }
-    for (int i = 0; i < kOps; ++i) (void)d.pop_top();
-    (void)d.pop_public_bottom();  // resets indices
-  });
-}
-
-cell abp_steal(const char* mode) {
-  return measure("steal", "abp", mode, [&] {
-    abp_deque<int> d(start_capacity(mode), nullptr, deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_top();
-    (void)d.pop_bottom();  // resets indices
-  });
-}
-
-cell chase_lev_steal(const char* mode) {
-  return measure("steal", "chase_lev", mode, [&] {
-    chase_lev_deque<int> d(start_capacity(mode), nullptr,
-                           deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_top();
-  });
-}
-
-cell wsmult_steal(const char* mode) {
-  return measure("steal", "wsmult", mode, [&] {
-    wsmult_deque<int> d(start_capacity(mode), nullptr,
-                        deque_growth{false, 0});
-    static int task = 0;
-    for (int i = 0; i < kOps; ++i) d.push_bottom(&task);
-    for (int i = 0; i < kOps; ++i) (void)d.pop_top();
-    (void)d.pop_bottom();  // drain walk resets indices
-  });
-}
-
 int run_structural(const char* path) {
   std::FILE* f = std::fopen(path, "a");
   if (f == nullptr) {
     std::fprintf(stderr, "LCWS_BENCH_JSON: cannot open %s\n", path);
     return 1;
   }
-  cell cells[] = {
-      split_fill_drain("prealloc"),     split_fill_drain("grow"),
-      abp_fill_drain("prealloc"),       abp_fill_drain("grow"),
-      chase_lev_fill_drain("prealloc"), chase_lev_fill_drain("grow"),
-      wsmult_fill_drain("prealloc"),    wsmult_fill_drain("grow"),
-      split_steal("prealloc"),          split_steal("grow"),
-      abp_steal("prealloc"),            abp_steal("grow"),
-      chase_lev_steal("prealloc"),      chase_lev_steal("grow"),
-      wsmult_steal("prealloc"),         wsmult_steal("grow"),
-  };
+  using lcws::deque_scenarios::kOps;
   std::printf("%-12s %-10s %-9s %10s %10s %10s %6s %8s %10s\n", "scenario",
               "deque", "mode", "ops", "fences", "cas", "grows", "hwm",
               "seconds");
-  for (const cell& c : cells) {
+  for (const auto& c : lcws::deque_scenarios::run_all()) {
     const auto& t = c.delta;
     std::printf("%-12s %-10s %-9s %10d %10llu %10llu %6llu %8llu %10.4f\n",
                 c.scenario, c.deque, c.mode, kOps,

@@ -13,7 +13,9 @@ Two kinds of checks, in decreasing order of trust:
                classified exactly once; a wsmult steal whose claim was
                lost took nothing and is never classified, and claims_lost
                is 0 for every other kind). A violation is a logic
-               regression, never noise.
+               regression, never noise. micro_deque's fence/CAS/grow
+               counts are not checked here: deque_test's DequeStructural
+               suite checks them against BENCH_deque.json in tier-1.
 
   ratio        timing comparisons with a generous noise margin. Within one
                run: locality-on must not be grossly slower than
@@ -237,63 +239,6 @@ def gate_near_fraction(rows):
         note(f"near fraction {frac:.3f} over {total} steals")
 
 
-def gate_deque_structural(rows):
-    """micro_deque's structural mode runs each scenario twice — storage
-    preallocated vs growing 64 -> 65536 slots in-loop. The counter deltas
-    are deterministic on any host, so these are exact-equality gates:
-
-      * growth adds ZERO fences and ZERO CAS to the owner/thief fast path
-        (grow-mode counts must be bit-identical to prealloc's);
-      * the split deque's private fill+drain performs no synchronization
-        at all — exactly 0 fences and 0 CAS — in both modes (the paper's
-        headline property survives growability);
-      * the wsmult deque is fully fence/CAS-free on BOTH scenarios: owner
-        fill+drain AND thief steal must each report exactly 0 fences and
-        0 CAS in both modes (the fig3-style proof that multiplicity
-        removed every fence and CAS from take and steal);
-      * 65536 ops from 64 slots is exactly 10 doublings: grow-mode rows
-        report grows == 10, prealloc rows report grows == 0.
-    """
-    by_key = index(rows, key_deque)
-    pairs = 0
-    for (scenario, deque, mode), row in by_key.items():
-        who = f"micro_deque {scenario}/{deque}/{mode}"
-        if mode == "prealloc":
-            if row.get("grows", 0) != 0:
-                fail(f"{who}: preallocated storage grew "
-                     f"({row.get('grows')} times)")
-            continue
-        if mode != "grow":
-            continue
-        if row.get("grows") != 10:
-            fail(f"{who}: expected exactly 10 doublings (64 -> 65536), "
-                 f"got {row.get('grows')}")
-        base = by_key.get((scenario, deque, "prealloc"))
-        if base is None:
-            fail(f"{who}: missing prealloc twin row")
-            continue
-        pairs += 1
-        for field in ("fences", "cas"):
-            if row.get(field) != base.get(field):
-                fail(f"{who}: growth changed the fast-path {field} count: "
-                     f"{row.get(field)} vs prealloc {base.get(field)}")
-    sync_free = [
-        ("fill_drain", "split", "private work"),
-        ("fill_drain", "wsmult", "owner put/take"),
-        ("steal", "wsmult", "thief steal"),
-    ]
-    for scenario, deque, what in sync_free:
-        for mode in ("prealloc", "grow"):
-            row = by_key.get((scenario, deque, mode))
-            if row is None:
-                fail(f"micro_deque: {deque} {scenario}/{mode} row missing")
-            elif row.get("fences", -1) != 0 or row.get("cas", -1) != 0:
-                fail(f"micro_deque {scenario}/{deque}/{mode}: {what} must "
-                     f"be synchronization-free, saw "
-                     f"fences={row.get('fences')} cas={row.get('cas')}")
-    note(f"micro_deque structural invariants over {pairs} mode pairs")
-
-
 def gate_fig_fences(rows, light, label, floor=40):
     """The paper's headline property as a structural gate: on the same
     benchmark configuration, the synchronization-light scheduler must
@@ -349,32 +294,6 @@ def gate_hw_marker(rows, label):
         if hw.startswith("unavailable") and r.get("cycles", 0) != 0:
             fail(f"{who}: hw says {hw} but cycles == {r.get('cycles')}")
     note(f"{label}: hw marker consistent over {checked} cells")
-
-
-def gate_deque_bit_identity(rows, baseline):
-    """Acceptance gate for the observability layer: with LCWS_TRACE unset,
-    micro_deque's structural counters must be BIT-IDENTICAL to the
-    committed baseline — tracing off means not one extra fence, CAS, grow
-    or high-water-mark movement anywhere in the deque fast paths."""
-    if not baseline:
-        skip("deque bit-identity: no committed baseline rows")
-        return
-    cur = index(rows, key_deque)
-    checked = 0
-    for key, base in index(baseline, key_deque).items():
-        row = cur.get(key)
-        if row is None:
-            fail(f"micro_deque {key}: baseline row missing from current run")
-            continue
-        for field in ("ops", "fences", "cas", "grows", "hwm"):
-            if row.get(field) != base.get(field):
-                fail(
-                    f"micro_deque {key}: {field} drifted from committed "
-                    f"baseline: {row.get(field)} vs {base.get(field)}"
-                )
-            else:
-                checked += 1
-    note(f"deque bit-identity: {checked} counter fields exactly equal")
 
 
 TIMING_FIELDS = ("seconds", "idle_cpu_s", "burst_median_s")
@@ -503,11 +422,8 @@ def main():
             key_locality, args.ratio, "BENCH_locality",
             rerun=lambda: run_bench(loc_exe, {}))
     if deque_rows:
-        gate_deque_structural(deque_rows)
-        gate_deque_bit_identity(
-            deque_rows,
-            load_json_lines(
-                os.path.join(args.baseline_dir, "BENCH_deque.json")))
+        # micro_deque's counts are checked bit for bit by deque_test's
+        # DequeStructural suite; only its timings are compared here.
         gate_vs_baseline(
             deque_rows,
             load_json_lines(

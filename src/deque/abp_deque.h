@@ -10,14 +10,13 @@
 //     deques) plus a CAS when racing for the last task,
 //   * pop_top:     one CAS.
 //
-// Storage follows the same growable-buffer scheme as split_deque
-// (DESIGN.md §8): a push past the end doubles the buffer on a slow path,
+// Storage is the deque_storage every growable deque shares (reclaim.h,
+// DESIGN.md §8): a push past the end doubles the buffer on a slow path,
 // release-publishes the replacement, and retires the old storage through
 // the reclaim_domain; growth adds no fences or CAS to the profile above.
 // pop_top loads the buffer pointer after its acquire of bot, whose
 // release store is sequenced after any growth covering [0, bot) — so the
-// buffer seen always spans the index about to be read. LCWS_DEQUE_FIXED
-// restores the legacy throwing bounded behaviour.
+// buffer seen always spans the index about to be read.
 #pragma once
 
 #include <atomic>
@@ -28,9 +27,7 @@
 #include "deque/deque_common.h"
 #include "deque/reclaim.h"
 #include "stats/counters.h"
-#include "stats/trace.h"
 #include "support/align.h"
-#include "support/fault_injection.h"
 
 namespace lcws {
 
@@ -40,36 +37,18 @@ class abp_deque {
 
  public:
   explicit abp_deque(std::size_t capacity = default_deque_capacity,
-                     reclaim_domain* domain = nullptr,
-                     deque_growth growth = deque_growth::from_env())
-      : buf_(buffer_t::create(capacity == 0 ? 1 : capacity)),
-        domain_(domain),
-        growth_(growth),
-        capacity_(capacity == 0 ? 1 : capacity) {}
+                     reclaim_domain* domain = nullptr)
+      : store_(capacity, domain) {}
 
   abp_deque(const abp_deque&) = delete;
   abp_deque& operator=(const abp_deque&) = delete;
 
-  ~abp_deque() {
-    buffer_t* r = retired_;
-    while (r != nullptr) {
-      buffer_t* next = r->retired_next;
-      buffer_t::destroy(r);
-      r = next;
-    }
-    buffer_t::destroy(buf_.load(std::memory_order_relaxed));
-  }
-
-  std::size_t capacity() const noexcept {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-
   // Owner only.
   void push_bottom(T* task) {
     const auto b = bot_.load(std::memory_order_relaxed);
-    buffer_t* buf = buf_.load(std::memory_order_relaxed);
+    buffer_t* buf = store_.buffer();
     if (static_cast<std::size_t>(b) >= buf->size) [[unlikely]] {
-      buf = grow(buf, b);
+      buf = store_.grow(b);
     }
     buf->slots()[static_cast<std::size_t>(b)].store(
         task, std::memory_order_relaxed);
@@ -78,10 +57,7 @@ class abp_deque {
     bot_.store(b + 1, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     stats::count_fence();
-    if (b + 1 > hwm_.load(std::memory_order_relaxed)) [[unlikely]] {
-      hwm_.store(b + 1, std::memory_order_relaxed);
-      stats::count_deque_hwm(static_cast<std::uint64_t>(b + 1));
-    }
+    store_.note_depth(b + 1);
     stats::count_push();
   }
 
@@ -89,14 +65,14 @@ class abp_deque {
   T* pop_bottom() {
     auto b = bot_.load(std::memory_order_relaxed);
     if (b == 0) {
-      if (retired_ != nullptr) collect();
+      store_.collect();
       return nullptr;
     }
     --b;
     bot_.store(b, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     stats::count_fence();
-    T* task = buf_.load(std::memory_order_relaxed)
+    T* task = store_.buffer()
                   ->slots()[static_cast<std::size_t>(b)]
                   .load(std::memory_order_relaxed);
     auto old_age = unpack_age(age_.load(std::memory_order_relaxed));
@@ -123,7 +99,7 @@ class abp_deque {
     } else {
       stats::count_pop_private();
     }
-    if (retired_ != nullptr) collect();
+    store_.collect();
     return task;
   }
 
@@ -138,7 +114,7 @@ class abp_deque {
     if (b <= static_cast<std::int64_t>(old_age.top)) {
       return {steal_status::empty, nullptr};
     }
-    buffer_t* buf = buf_.load(std::memory_order_acquire);
+    buffer_t* buf = store_.buffer(std::memory_order_acquire);
     if (old_age.top >= buf->size) [[unlikely]] {
       // Defensive: mutually stale index/buffer snapshot. Treat as a lost
       // race rather than reading out of bounds.
@@ -171,20 +147,16 @@ class abp_deque {
 
   bool empty_estimate() const noexcept { return size_estimate() == 0; }
 
-  std::uint64_t grow_count() const noexcept {
-    return grows_.load(std::memory_order_relaxed);
-  }
-
+  std::size_t capacity() const noexcept { return store_.capacity(); }
+  std::uint64_t grow_count() const noexcept { return store_.grow_count(); }
   std::int64_t high_water_mark() const noexcept {
-    return hwm_.load(std::memory_order_relaxed);
+    return store_.high_water_mark();
   }
-
   std::uint64_t retired_buffers() const noexcept {
-    return retired_count_.load(std::memory_order_relaxed);
+    return store_.retired_buffers();
   }
 
-  // Racy one-line snapshot for watchdog/post-mortem dumps (capacity comes
-  // from a shadow word so the dump never dereferences the buffer).
+  // Racy one-line snapshot for watchdog/post-mortem dumps.
   std::string debug_string() const {
     const auto a = unpack_age(age_.load(std::memory_order_relaxed));
     return "top=" + std::to_string(a.top) +
@@ -197,69 +169,9 @@ class abp_deque {
   }
 
  private:
-  [[noreturn]] void overflow(std::size_t cap) const {
-    throw deque_overflow_error("abp_deque", cap, growth_.soft_cap);
-  }
-
-  buffer_t* grow(buffer_t* old, std::int64_t b) {
-    if (growth_.fixed) overflow(old->size);
-    collect();
-    std::size_t nsize = old->size * 2;
-    while (nsize <= static_cast<std::size_t>(b)) nsize *= 2;
-    buffer_t* nb = buffer_t::create(nsize);
-    auto* src = old->slots();
-    auto* dst = nb->slots();
-    for (std::int64_t i = 0; i < b; ++i) {
-      dst[i].store(src[i].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    }
-    if (fi::inject(fi::site::deque_grow)) grow_race_pause();
-    buf_.store(nb, std::memory_order_release);
-    capacity_.store(nsize, std::memory_order_relaxed);
-    retire(old);
-    grows_.store(grows_.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-    stats::count_deque_grow();
-    trace::emit(trace::event::deque_grow, nsize);
-    return nb;
-  }
-
-  void retire(buffer_t* old) noexcept {
-    old->retire_token = domain_ != nullptr ? domain_->retire_token() : 0;
-    old->retired_next = retired_;
-    retired_ = old;
-    retired_count_.store(
-        retired_count_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-
-  void collect() noexcept {
-    if (domain_ == nullptr) return;
-    buffer_t** link = &retired_;
-    while (*link != nullptr) {
-      buffer_t* r = *link;
-      if (domain_->passed(r->retire_token)) {
-        *link = r->retired_next;
-        buffer_t::destroy(r);
-        retired_count_.store(
-            retired_count_.load(std::memory_order_relaxed) - 1,
-            std::memory_order_relaxed);
-      } else {
-        link = &r->retired_next;
-      }
-    }
-  }
-
   alignas(cache_line_size) std::atomic<std::int64_t> bot_{0};
   alignas(cache_line_size) std::atomic<std::uint64_t> age_{0};
-  alignas(cache_line_size) std::atomic<buffer_t*> buf_;
-  reclaim_domain* const domain_;
-  const deque_growth growth_;
-  buffer_t* retired_ = nullptr;  // owner-only intrusive list
-  std::atomic<std::int64_t> hwm_{0};
-  std::atomic<std::uint64_t> grows_{0};
-  std::atomic<std::size_t> capacity_;  // shadow of buf_->size for dumps
-  std::atomic<std::uint64_t> retired_count_{0};
+  deque_storage<T> store_;
 };
 
 }  // namespace lcws

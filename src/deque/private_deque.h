@@ -45,13 +45,11 @@ struct alignas(cache_line_size) steal_box {
 template <typename T>
 class private_deque {
  public:
-  // Storage is unbounded (std::deque); the hint, domain and growth policy
+  // Storage is a std::deque that grows on its own; the hint and domain
   // only keep the constructor and capacity() signatures uniform with the
-  // growable deques — nothing here is ever retired or capped (this deque
-  // never throws deque_overflow_error, with or without LCWS_DEQUE_FIXED).
+  // other deques — nothing here is ever retired.
   explicit private_deque(std::size_t capacity_hint = 0,
-                         reclaim_domain* /*domain*/ = nullptr,
-                         deque_growth /*growth*/ = {})
+                         reclaim_domain* /*domain*/ = nullptr)
       : capacity_hint_(capacity_hint) {}
 
   std::size_t capacity() const noexcept { return capacity_hint_; }
@@ -123,11 +121,6 @@ class private_deque {
   // ---- diagnostics ----------------------------------------------------------
 
   std::size_t size() const noexcept { return stack_.size(); }
-  // Owner-only (stack_ is not thread-safe); named to match the other
-  // deques so the scheduler's soft-cap backpressure check is uniform.
-  std::int64_t size_estimate() const noexcept {
-    return static_cast<std::int64_t>(stack_.size());
-  }
   bool has_pending_request() const noexcept {
     return request_.load(std::memory_order_relaxed) != nullptr;
   }

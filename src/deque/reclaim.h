@@ -41,8 +41,8 @@
 // a domain never frees early at all (destructor-only reclamation): that is
 // the safe default for standalone use where thief threads are unknown.
 //
-// Contract: every thread that may call pop_top on a growth-enabled deque
-// must be registered with the deque's domain *before the first growth can
+// Contract: every thread that may call pop_top on a deque with a domain
+// must be registered with that domain *before the first growth can
 // occur* (the scheduler registers all workers at construction, before any
 // run()). Registration is not designed for mid-retirement arrival.
 #pragma once
@@ -52,7 +52,11 @@
 #include <cstdint>
 #include <new>
 
+#include "deque/deque_common.h"
+#include "stats/counters.h"
+#include "stats/trace.h"
 #include "support/align.h"
+#include "support/fault_injection.h"
 
 namespace lcws {
 
@@ -130,10 +134,10 @@ class reclaim_domain {
   reader_slot slots_[max_readers];
 };
 
-// Growable slot storage shared by the three owner deques: a header plus a
-// trailing array of atomic task-pointer slots, so the owner fast path pays
-// exactly one dependent load (buffer pointer -> slot) over the old inline
-// std::vector — still zero fences, zero CAS.
+// One slot array of a growable deque: a header plus a trailing array of
+// atomic task-pointer slots, so the owner fast path pays exactly one
+// dependent load (buffer pointer -> slot) over an inline array — still
+// zero fences, zero CAS.
 template <typename T>
 struct deque_buffer {
   const std::size_t size;            // slot count (immutable)
@@ -166,6 +170,144 @@ struct deque_buffer {
 
  private:
   explicit deque_buffer(std::size_t n) noexcept : size(n) {}
+};
+
+// Growth's default slot copy: a plain relaxed move. Thieves validate what
+// they read through their own index protocol (the age CAS), and the
+// replacement buffer is release-published after the whole copy.
+struct relaxed_slot_copy {
+  template <typename T>
+  void operator()(std::atomic<T*>& dst, std::atomic<T*>& src) const noexcept {
+    dst.store(src.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  }
+};
+
+// The growable storage behind split_deque, abp_deque and wsmult_deque
+// (DESIGN.md §8): the published buffer pointer plus the owner-side growth,
+// retirement and collection bookkeeping. Thieves only call buffer(), after
+// acquiring the index bound they are about to read through (each deque's
+// pop_top keeps that order); everything else runs on the owner's thread.
+// Without a domain, retired buffers are freed only by the destructor.
+template <typename T>
+class deque_storage {
+ public:
+  using buffer_t = deque_buffer<T>;
+
+  deque_storage(std::size_t capacity, reclaim_domain* domain)
+      : buf_(buffer_t::create(capacity == 0 ? 1 : capacity)),
+        domain_(domain),
+        capacity_(capacity == 0 ? 1 : capacity) {}
+
+  deque_storage(const deque_storage&) = delete;
+  deque_storage& operator=(const deque_storage&) = delete;
+
+  ~deque_storage() {
+    while (retired_ != nullptr) {
+      buffer_t* next = retired_->retired_next;
+      buffer_t::destroy(retired_);
+      retired_ = next;
+    }
+    buffer_t::destroy(buf_.load(std::memory_order_relaxed));
+  }
+
+  buffer_t* buffer(
+      std::memory_order order = std::memory_order_relaxed) const noexcept {
+    return buf_.load(order);
+  }
+
+  // Growth slow path: double the buffer until it covers index `used`, copy
+  // slots [0, used) with copy(dst, src), publish, retire the old storage.
+  // [0, top) is dead history, but copying it is harmless and keeps the
+  // indices unchanged. Owner thread only. Never inlined, so a push that
+  // does not grow carries only the call.
+  template <typename CopySlot = relaxed_slot_copy>
+  [[gnu::noinline]] buffer_t* grow(std::int64_t used, CopySlot copy = {}) {
+    collect();
+    buffer_t* old = buf_.load(std::memory_order_relaxed);
+    std::size_t nsize = old->size * 2;
+    while (nsize <= static_cast<std::size_t>(used)) nsize *= 2;
+    buffer_t* nb = buffer_t::create(nsize);
+    auto* src = old->slots();
+    auto* dst = nb->slots();
+    for (std::int64_t i = 0; i < used; ++i) copy(dst[i], src[i]);
+    if (fi::inject(fi::site::deque_grow)) grow_race_pause();
+    // Publication point: release so a thief's acquire chain through the
+    // index words sees fully copied slots.
+    buf_.store(nb, std::memory_order_release);
+    capacity_.store(nsize, std::memory_order_relaxed);
+    retire(old);
+    grows_.store(grows_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    stats::count_deque_grow();
+    trace::emit(trace::event::deque_grow, nsize);
+    return nb;
+  }
+
+  // Owner: records a push that left `depth` slots in use.
+  void note_depth(std::int64_t depth) noexcept {
+    if (depth > hwm_.load(std::memory_order_relaxed)) [[unlikely]] {
+      hwm_.store(depth, std::memory_order_relaxed);
+      stats::count_deque_hwm(static_cast<std::uint64_t>(depth));
+    }
+  }
+
+  // Owner drain point: frees the retired buffers whose token every
+  // registered reader has passed. With nothing retired this is one load.
+  void collect() noexcept {
+    if (retired_ != nullptr) free_passed();
+  }
+
+  // Racy diagnostics. capacity comes from a shadow word, never the buffer,
+  // so a dumping watchdog thread cannot race reclamation.
+  std::size_t capacity() const noexcept {
+    return capacity_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t grow_count() const noexcept {
+    return grows_.load(std::memory_order_relaxed);
+  }
+  std::int64_t high_water_mark() const noexcept {
+    return hwm_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t retired_buffers() const noexcept {
+    return retired_count_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  // Retire after publication: the domain token drawn here is ordered after
+  // the buf_ release store, which is what makes passed() imply
+  // unreachability.
+  void retire(buffer_t* old) noexcept {
+    old->retire_token = domain_ != nullptr ? domain_->retire_token() : 0;
+    old->retired_next = retired_;
+    retired_ = old;
+    retired_count_.store(retired_count_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+  }
+
+  void free_passed() noexcept {
+    if (domain_ == nullptr) return;
+    buffer_t** link = &retired_;
+    while (*link != nullptr) {
+      buffer_t* r = *link;
+      if (domain_->passed(r->retire_token)) {
+        *link = r->retired_next;
+        buffer_t::destroy(r);
+        retired_count_.store(
+            retired_count_.load(std::memory_order_relaxed) - 1,
+            std::memory_order_relaxed);
+      } else {
+        link = &r->retired_next;
+      }
+    }
+  }
+
+  alignas(cache_line_size) std::atomic<buffer_t*> buf_;
+  reclaim_domain* const domain_;
+  buffer_t* retired_ = nullptr;  // owner-only intrusive list
+  std::atomic<std::int64_t> hwm_{0};
+  std::atomic<std::uint64_t> grows_{0};
+  std::atomic<std::size_t> capacity_;  // shadow of buf_->size for dumps
+  std::atomic<std::uint64_t> retired_count_{0};
 };
 
 }  // namespace lcws

@@ -27,20 +27,16 @@
 //     part is empty it returns PRIVATE_WORK"); we implement the documented
 //     behaviour.
 //
-// Storage contract (DESIGN.md §8): the slot array is a growable
-// deque_buffer published through an atomic pointer. A push that would run
-// off the end doubles the buffer on a slow path — copy the live prefix,
-// release-publish the replacement, retire the old storage through the
-// reclaim_domain so an in-flight thief never touches freed memory — and
-// the non-growth fast path is unchanged: push/pop still perform no fence,
-// no CAS, no RMW (one extra dependent load for the buffer indirection).
-// Indices reset only when the owner drains the deque completely; a steal
-// removes the top element without lowering bot, so bot drifts upward by
-// one per stolen task between full drains. With growth enabled that drift
-// just costs doubling; under LCWS_DEQUE_FIXED the legacy bounded contract
-// applies and the overflowing push throws deque_overflow_error without
-// publishing anything, so the in-flight computation drains normally and
-// the exception surfaces at the spawn site (see job.h).
+// Storage contract (DESIGN.md §8): the slot array lives in a
+// deque_storage (reclaim.h). A push that would run off the end doubles the
+// buffer on a slow path — copy the live prefix, release-publish the
+// replacement, retire the old storage through the reclaim_domain so an
+// in-flight thief never touches freed memory — and the non-growth fast
+// path is unchanged: push/pop still perform no fence, no CAS, no RMW (one
+// extra dependent load for the buffer indirection). Indices reset only
+// when the owner drains the deque completely; a steal removes the top
+// element without lowering bot, so bot drifts upward by one per stolen
+// task between full drains, and that drift just costs doubling.
 //
 // Thief-vs-growth safety: pop_top acquire-loads public_bot *before*
 // loading the buffer pointer. The exposure that raised public_bot is a
@@ -66,9 +62,7 @@
 #include "deque/deque_common.h"
 #include "deque/reclaim.h"
 #include "stats/counters.h"
-#include "stats/trace.h"
 #include "support/align.h"
-#include "support/fault_injection.h"
 
 namespace lcws {
 
@@ -90,29 +84,11 @@ class split_deque {
 
  public:
   explicit split_deque(std::size_t capacity = default_deque_capacity,
-                       reclaim_domain* domain = nullptr,
-                       deque_growth growth = deque_growth::from_env())
-      : buf_(buffer_t::create(capacity == 0 ? 1 : capacity)),
-        domain_(domain),
-        growth_(growth),
-        capacity_(capacity == 0 ? 1 : capacity) {}
+                       reclaim_domain* domain = nullptr)
+      : store_(capacity, domain) {}
 
   split_deque(const split_deque&) = delete;
   split_deque& operator=(const split_deque&) = delete;
-
-  ~split_deque() {
-    buffer_t* r = retired_;
-    while (r != nullptr) {
-      buffer_t* next = r->retired_next;
-      buffer_t::destroy(r);
-      r = next;
-    }
-    buffer_t::destroy(buf_.load(std::memory_order_relaxed));
-  }
-
-  std::size_t capacity() const noexcept {
-    return capacity_.load(std::memory_order_relaxed);
-  }
 
   // ---- owner-side, synchronization-free ---------------------------------
 
@@ -120,19 +96,16 @@ class split_deque {
   // when the next slot would run off the current buffer.
   void push_bottom(T* task) {
     const auto b = bot_.load(std::memory_order_relaxed);
-    buffer_t* buf = buf_.load(std::memory_order_relaxed);
+    buffer_t* buf = store_.buffer();
     if (static_cast<std::size_t>(b) >= buf->size) [[unlikely]] {
-      buf = grow(buf, b);
+      buf = store_.grow(b);
     }
     buf->slots()[static_cast<std::size_t>(b)].store(
         task, std::memory_order_relaxed);
     // Release (free on x86): pairs with the exposure's release chain so a
     // thief that acquire-reads public_bot past this slot sees the payload.
     bot_.store(b + 1, std::memory_order_release);
-    if (b + 1 > hwm_.load(std::memory_order_relaxed)) [[unlikely]] {
-      hwm_.store(b + 1, std::memory_order_relaxed);
-      stats::count_deque_hwm(static_cast<std::uint64_t>(b + 1));
-    }
+    store_.note_depth(b + 1);
     stats::count_push();
   }
 
@@ -144,7 +117,7 @@ class split_deque {
     if (b == public_bot_.load(std::memory_order_relaxed)) return nullptr;
     bot_.store(b - 1, std::memory_order_relaxed);
     stats::count_pop_private();
-    return buf_.load(std::memory_order_relaxed)
+    return store_.buffer()
         ->slots()[static_cast<std::size_t>(b - 1)]
         .load(std::memory_order_relaxed);
   }
@@ -158,7 +131,7 @@ class split_deque {
     bot_.store(b, std::memory_order_relaxed);
     if (b < public_bot_.load(std::memory_order_relaxed)) return nullptr;
     stats::count_pop_private();
-    return buf_.load(std::memory_order_relaxed)
+    return store_.buffer()
         ->slots()[static_cast<std::size_t>(b)]
         .load(std::memory_order_relaxed);
   }
@@ -173,7 +146,7 @@ class split_deque {
     auto pb = public_bot_.load(std::memory_order_relaxed);
     if (pb == 0) {
       bot_.store(0, std::memory_order_relaxed);
-      if (retired_ != nullptr) collect();
+      store_.collect();
       return nullptr;
     }
     --pb;
@@ -182,7 +155,7 @@ class split_deque {
     // commit to the task, and read an up-to-date age.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     stats::count_fence();
-    T* task = buf_.load(std::memory_order_relaxed)
+    T* task = store_.buffer()
                   ->slots()[static_cast<std::size_t>(pb)]
                   .load(std::memory_order_relaxed);
     const auto old_age = unpack_age(age_.load(std::memory_order_relaxed));
@@ -214,7 +187,7 @@ class split_deque {
     // a stale public_bot, which could double-execute a task.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     stats::count_fence();
-    if (retired_ != nullptr) collect();
+    store_.collect();
     return task;
   }
 
@@ -230,7 +203,7 @@ class split_deque {
     const auto old_age = unpack_age(age_.load(std::memory_order_acquire));
     const auto pb = public_bot_.load(std::memory_order_acquire);
     if (pb > static_cast<std::int64_t>(old_age.top)) {
-      buffer_t* buf = buf_.load(std::memory_order_acquire);
+      buffer_t* buf = store_.buffer(std::memory_order_acquire);
       if (old_age.top >= buf->size) [[unlikely]] {
         // Mutually stale index/buffer snapshot (cannot happen for an
         // exposed slot per the ordering above; purely defensive). Treat as
@@ -363,22 +336,17 @@ class split_deque {
     return private_size() + public_size();
   }
 
-  std::uint64_t grow_count() const noexcept {
-    return grows_.load(std::memory_order_relaxed);
-  }
-
+  std::size_t capacity() const noexcept { return store_.capacity(); }
+  std::uint64_t grow_count() const noexcept { return store_.grow_count(); }
   std::int64_t high_water_mark() const noexcept {
-    return hwm_.load(std::memory_order_relaxed);
+    return store_.high_water_mark();
   }
-
   std::uint64_t retired_buffers() const noexcept {
-    return retired_count_.load(std::memory_order_relaxed);
+    return store_.retired_buffers();
   }
 
   // Racy one-line snapshot of the index state for watchdog/post-mortem
-  // dumps (relaxed loads only; values may be mutually inconsistent — in
-  // particular capacity comes from a shadow word, never the buffer, so a
-  // dumping watchdog thread cannot race reclamation).
+  // dumps (relaxed loads only; values may be mutually inconsistent).
   std::string debug_string() const {
     const auto a = unpack_age(age_.load(std::memory_order_relaxed));
     return "top=" + std::to_string(a.top) +
@@ -393,84 +361,12 @@ class split_deque {
   }
 
  private:
-  [[noreturn]] void overflow(std::size_t cap) const {
-    throw deque_overflow_error("split_deque", cap, growth_.soft_cap);
-  }
-
-  // Growth slow path: double the buffer (covering index b), copy the live
-  // prefix [0, b), publish, retire the old storage. Owner thread only.
-  buffer_t* grow(buffer_t* old, std::int64_t b) {
-    if (growth_.fixed) overflow(old->size);
-    collect();
-    std::size_t nsize = old->size * 2;
-    while (nsize <= static_cast<std::size_t>(b)) nsize *= 2;
-    buffer_t* nb = buffer_t::create(nsize);
-    auto* src = old->slots();
-    auto* dst = nb->slots();
-    // Copy everything below bot: [0, top) is dead history and [top, b) is
-    // live. Stale values in already-stolen slots are harmless — thieves
-    // validate every read through the age CAS.
-    for (std::int64_t i = 0; i < b; ++i) {
-      dst[i].store(src[i].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    }
-    if (fi::inject(fi::site::deque_grow)) grow_race_pause();
-    // Publication point: release so a thief's acquire chain through the
-    // index words sees fully copied slots.
-    buf_.store(nb, std::memory_order_release);
-    capacity_.store(nsize, std::memory_order_relaxed);
-    retire(old);
-    grows_.store(grows_.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-    stats::count_deque_grow();
-    trace::emit(trace::event::deque_grow, nsize);
-    return nb;
-  }
-
-  // Retire after publication: the domain token drawn here is ordered after
-  // the buf_ release store, which is what makes passed() imply
-  // unreachability (see reclaim.h).
-  void retire(buffer_t* old) noexcept {
-    old->retire_token = domain_ != nullptr ? domain_->retire_token() : 0;
-    old->retired_next = retired_;
-    retired_ = old;
-    retired_count_.store(
-        retired_count_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-
-  // Free retired buffers whose token every registered reader has passed.
-  // Without a domain nothing is freed until destruction. Owner slow path.
-  void collect() noexcept {
-    if (domain_ == nullptr) return;
-    buffer_t** link = &retired_;
-    while (*link != nullptr) {
-      buffer_t* r = *link;
-      if (domain_->passed(r->retire_token)) {
-        *link = r->retired_next;
-        buffer_t::destroy(r);
-        retired_count_.store(
-            retired_count_.load(std::memory_order_relaxed) - 1,
-            std::memory_order_relaxed);
-      } else {
-        link = &r->retired_next;
-      }
-    }
-  }
-
   // bot and public_bot share a line deliberately: both are owner-written,
   // and the owner touches them together on every operation.
   alignas(cache_line_size) std::atomic<std::int64_t> bot_{0};
   std::atomic<std::int64_t> public_bot_{0};
   alignas(cache_line_size) std::atomic<std::uint64_t> age_{0};
-  alignas(cache_line_size) std::atomic<buffer_t*> buf_;
-  reclaim_domain* const domain_;
-  const deque_growth growth_;
-  buffer_t* retired_ = nullptr;  // owner-only intrusive list
-  std::atomic<std::int64_t> hwm_{0};
-  std::atomic<std::uint64_t> grows_{0};
-  std::atomic<std::size_t> capacity_;  // shadow of buf_->size for dumps
-  std::atomic<std::uint64_t> retired_count_{0};
+  deque_storage<T> store_;
 };
 
 }  // namespace lcws

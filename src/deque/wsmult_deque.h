@@ -82,7 +82,6 @@
 #include "deque/deque_common.h"
 #include "deque/reclaim.h"
 #include "stats/counters.h"
-#include "stats/trace.h"
 #include "support/align.h"
 #include "support/fault_injection.h"
 
@@ -94,36 +93,18 @@ class wsmult_deque {
 
  public:
   explicit wsmult_deque(std::size_t capacity = default_deque_capacity,
-                        reclaim_domain* domain = nullptr,
-                        deque_growth growth = deque_growth::from_env())
-      : buf_(buffer_t::create(capacity == 0 ? 1 : capacity)),
-        domain_(domain),
-        growth_(growth),
-        capacity_(capacity == 0 ? 1 : capacity) {}
+                        reclaim_domain* domain = nullptr)
+      : store_(capacity, domain) {}
 
   wsmult_deque(const wsmult_deque&) = delete;
   wsmult_deque& operator=(const wsmult_deque&) = delete;
 
-  ~wsmult_deque() {
-    buffer_t* r = retired_;
-    while (r != nullptr) {
-      buffer_t* next = r->retired_next;
-      buffer_t::destroy(r);
-      r = next;
-    }
-    buffer_t::destroy(buf_.load(std::memory_order_relaxed));
-  }
-
-  std::size_t capacity() const noexcept {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-
   // Owner only. Fence-free, CAS-free.
   void push_bottom(T* task) {
     const auto b = bot_.load(std::memory_order_relaxed);
-    buffer_t* buf = buf_.load(std::memory_order_relaxed);
+    buffer_t* buf = store_.buffer();
     if (static_cast<std::size_t>(b) >= buf->size) [[unlikely]] {
-      buf = grow(buf, b);
+      buf = store_.grow(b, claim_copy{});
     }
     // Release: a thief whose claim exchange reads this pointer — even one
     // that reached the slot through a stale index before bot is bumped —
@@ -131,10 +112,7 @@ class wsmult_deque {
     buf->slots()[static_cast<std::size_t>(b)].store(
         task, std::memory_order_release);
     bot_.store(b + 1, std::memory_order_release);
-    if (b + 1 > hwm_.load(std::memory_order_relaxed)) [[unlikely]] {
-      hwm_.store(b + 1, std::memory_order_relaxed);
-      stats::count_deque_hwm(static_cast<std::uint64_t>(b + 1));
-    }
+    store_.note_depth(b + 1);
     stats::count_push();
   }
 
@@ -142,7 +120,7 @@ class wsmult_deque {
   // (each index at most once ever). Returns nullptr when drained.
   T* pop_bottom() {
     auto b = bot_.load(std::memory_order_relaxed);
-    buffer_t* buf = buf_.load(std::memory_order_relaxed);
+    buffer_t* buf = store_.buffer();
     while (b > 0) {
       --b;
       bot_.store(b, std::memory_order_relaxed);
@@ -151,7 +129,7 @@ class wsmult_deque {
           claimed(), std::memory_order_acq_rel);
       if (task != claimed() && task != nullptr) {
         stats::count_pop_private();
-        if (retired_ != nullptr) collect();
+        store_.collect();
         return task;
       }
       // A thief claimed this index first (its top store may still be in
@@ -159,7 +137,7 @@ class wsmult_deque {
       stats::count_dup_extraction();
     }
     drain_reset();
-    if (retired_ != nullptr) collect();
+    store_.collect();
     return nullptr;
   }
 
@@ -171,7 +149,7 @@ class wsmult_deque {
     if (t >= b || t < 0) {
       return {steal_status::empty, nullptr};
     }
-    buffer_t* buf = buf_.load(std::memory_order_acquire);
+    buffer_t* buf = store_.buffer(std::memory_order_acquire);
     if (static_cast<std::size_t>(t) >= buf->size) [[unlikely]] {
       // Mutually stale index/buffer snapshot; fail the attempt rather
       // than read out of bounds.
@@ -221,16 +199,13 @@ class wsmult_deque {
 
   bool empty_estimate() const noexcept { return size_estimate() == 0; }
 
-  std::uint64_t grow_count() const noexcept {
-    return grows_.load(std::memory_order_relaxed);
-  }
-
+  std::size_t capacity() const noexcept { return store_.capacity(); }
+  std::uint64_t grow_count() const noexcept { return store_.grow_count(); }
   std::int64_t high_water_mark() const noexcept {
-    return hwm_.load(std::memory_order_relaxed);
+    return store_.high_water_mark();
   }
-
   std::uint64_t retired_buffers() const noexcept {
-    return retired_count_.load(std::memory_order_relaxed);
+    return store_.retired_buffers();
   }
 
   std::uint64_t reset_count() const noexcept {
@@ -255,38 +230,19 @@ class wsmult_deque {
     return reinterpret_cast<T*>(std::uintptr_t{1});
   }
 
-  [[noreturn]] void overflow(std::size_t cap) const {
-    throw deque_overflow_error("wsmult_deque", cap, growth_.soft_cap);
-  }
-
-  buffer_t* grow(buffer_t* old, std::int64_t b) {
-    if (growth_.fixed) overflow(old->size);
-    collect();
-    std::size_t nsize = old->size * 2;
-    while (nsize <= static_cast<std::size_t>(b)) nsize *= 2;
-    buffer_t* nb = buffer_t::create(nsize);
-    auto* src = old->slots();
-    auto* dst = nb->slots();
-    for (std::int64_t i = 0; i < b; ++i) {
-      // The copy claims the old slot as it reads it: a concurrent thief
-      // exchange on old storage either beat this RMW (we copy the
-      // sentinel it left) or follows it (it reads the sentinel we left) —
-      // the slot's modification order guarantees exactly one side ever
-      // sees the task. The release store keeps the payload-visibility
-      // chain intact for a winner claiming through the new buffer.
-      dst[i].store(src[i].exchange(claimed(), std::memory_order_acq_rel),
-                   std::memory_order_release);
+  // Growth's slot copy claims the old slot as it reads it: a concurrent
+  // thief exchange on old storage either beat this RMW (we copy the
+  // sentinel it left) or follows it (it reads the sentinel we left) — the
+  // slot's modification order guarantees exactly one side ever sees the
+  // task. The release store keeps the payload-visibility chain intact for
+  // a winner claiming through the new buffer.
+  struct claim_copy {
+    void operator()(std::atomic<T*>& dst,
+                    std::atomic<T*>& src) const noexcept {
+      dst.store(src.exchange(claimed(), std::memory_order_acq_rel),
+                std::memory_order_release);
     }
-    if (fi::inject(fi::site::deque_grow)) grow_race_pause();
-    buf_.store(nb, std::memory_order_release);
-    capacity_.store(nsize, std::memory_order_relaxed);
-    retire(old);
-    grows_.store(grows_.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-    stats::count_deque_grow();
-    trace::emit(trace::event::deque_grow, nsize);
-    return nb;
-  }
+  };
 
   // Owner, on finding the deque drained: wind the window back to index 0
   // so storage demand tracks the high-water mark instead of total tasks
@@ -302,42 +258,9 @@ class wsmult_deque {
                   std::memory_order_relaxed);
   }
 
-  void retire(buffer_t* old) noexcept {
-    old->retire_token = domain_ != nullptr ? domain_->retire_token() : 0;
-    old->retired_next = retired_;
-    retired_ = old;
-    retired_count_.store(
-        retired_count_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-  }
-
-  void collect() noexcept {
-    if (domain_ == nullptr) return;
-    buffer_t** link = &retired_;
-    while (*link != nullptr) {
-      buffer_t* r = *link;
-      if (domain_->passed(r->retire_token)) {
-        *link = r->retired_next;
-        buffer_t::destroy(r);
-        retired_count_.store(
-            retired_count_.load(std::memory_order_relaxed) - 1,
-            std::memory_order_relaxed);
-      } else {
-        link = &r->retired_next;
-      }
-    }
-  }
-
   alignas(cache_line_size) std::atomic<std::int64_t> bot_{0};
   alignas(cache_line_size) std::atomic<std::int64_t> top_{0};
-  alignas(cache_line_size) std::atomic<buffer_t*> buf_;
-  reclaim_domain* const domain_;
-  const deque_growth growth_;
-  buffer_t* retired_ = nullptr;  // owner-only intrusive list
-  std::atomic<std::int64_t> hwm_{0};
-  std::atomic<std::uint64_t> grows_{0};
-  std::atomic<std::size_t> capacity_;  // shadow of buf_->size for dumps
-  std::atomic<std::uint64_t> retired_count_{0};
+  deque_storage<T> store_;
   std::atomic<std::uint64_t> resets_{0};
 };
 

@@ -65,8 +65,8 @@
 //     the sysfs topology (support/topology.h). steal_once picks a tier
 //     with geometric bias toward near victims, then a victim within the
 //     tier by power-of-two-choices on the pool's per-victim steal-success
-//     EWMA (victim_steal_ewma_); every LCWS_EXPLORE_PERIOD-th pick is
-//     uniform so remote victims are never starved.
+//     EWMA (victim_steal_ewma_); every 16th pick is uniform so remote
+//     victims are never starved.
 //   * Steals that took a task are classified near/remote + per tier
 //     (stats/counters.h): steals - claims_lost == steals_near +
 //     steals_remote while the layer is on.
@@ -133,11 +133,11 @@ class scheduler {
   using deque_type = typename Policy::deque_type;
   static constexpr sched_family family = Policy::family;
 
-  // deque_capacity bounds each worker's deque (see split_deque.h for the
-  // capacity contract); the default is ample for fork-join computations.
-  // `parking` is the elastic-idling kill-switch (default: on unless
-  // LCWS_NO_PARKING is set in the environment); `locality` the victim-
-  // selection one (default: on unless LCWS_LOCALITY_OFF is set).
+  // deque_capacity is each worker's starting deque size; a deque that
+  // fills up doubles its storage (DESIGN.md §8). `parking` is the
+  // elastic-idling kill-switch (default: on unless LCWS_NO_PARKING is set
+  // in the environment); `locality` the victim-selection one (default: on
+  // unless LCWS_LOCALITY_OFF is set).
   explicit scheduler(std::size_t num_workers,
                      std::size_t deque_capacity = default_deque_capacity,
                      parking_mode parking = parking_mode::env_default,
@@ -184,8 +184,7 @@ class scheduler {
       }
       for (std::size_t i = 0; i < nworkers_; ++i) {
         workers_[i]->victims.build(
-            build_victim_table(topo_, cpu_of_worker_, i),
-            loc_cfg_.explore_period);
+            build_victim_table(topo_, cpu_of_worker_, i));
       }
       // Pin worker 0 (the constructing thread) here; spawned workers pin
       // themselves on entry. The caller's thread outlives the pool, so its
@@ -410,18 +409,6 @@ class scheduler {
     if (cancelled_.load(std::memory_order_relaxed)) [[unlikely]] {
       throw run_cancelled_error();
     }
-    // Overload backpressure (DESIGN.md §8): past the soft cap this worker
-    // already holds more spawnable work than the pool can plausibly drain,
-    // so serializing the fork bounds memory instead of growing the deque
-    // without limit. Inline branches never touch the deque or the join
-    // protocol, so every counter identity is unchanged. Disabled in fixed-
-    // capacity mode (legacy behaviour: grow until the deque throws).
-    if (growth_cfg_.soft_cap != 0 && !growth_cfg_.fixed &&
-        static_cast<std::uint64_t>(workers_[self]->deque.size_estimate()) >=
-            growth_cfg_.soft_cap) [[unlikely]] {
-      pardo_serial(left, right);
-      return;
-    }
     lambda_job<std::remove_reference_t<R>> right_job(right);
     push(self, &right_job);
     if constexpr (std::is_nothrow_invocable_v<L&>) {
@@ -438,29 +425,6 @@ class scheduler {
       if (left_ex != nullptr) std::rethrow_exception(left_ex);
     }
     right_job.rethrow_if_exception();
-  }
-
-  // Serialized fork for the soft-cap overload path: both branches always
-  // run (matching pardo's drain-before-rethrow contract) and when both
-  // throw, the left exception wins — exactly pardo's semantics, minus the
-  // deque round trip.
-  template <typename L, typename R>
-  void pardo_serial(L&& left, R&& right) {
-    stats::count_spawn_inline();
-    std::exception_ptr left_ex;
-    try {
-      left();
-    } catch (...) {
-      left_ex = std::current_exception();
-    }
-    std::exception_ptr right_ex;
-    try {
-      right();
-    } catch (...) {
-      right_ex = std::current_exception();
-    }
-    if (left_ex != nullptr) std::rethrow_exception(left_ex);
-    if (right_ex != nullptr) std::rethrow_exception(right_ex);
   }
 
   // ---- instrumentation ----------------------------------------------------
@@ -555,8 +519,6 @@ class scheduler {
         << " active=" << active_.load(std::memory_order_relaxed)
         << " shutdown=" << shutdown_.load(std::memory_order_relaxed)
         << " parking=" << parking_ << " locality=" << locality_
-        << " deque_fixed=" << growth_cfg_.fixed
-        << " soft_cap=" << growth_cfg_.soft_cap
         << " cancelled=" << cancelled_.load(std::memory_order_relaxed)
         << "\n";
     for (std::size_t i = 0; i < nworkers_; ++i) {
@@ -567,7 +529,6 @@ class scheduler {
           << " tasks=" << c.tasks_executed.get()
           << " grows=" << c.deque_grows.get()
           << " hwm=" << c.deque_hwm.get()
-          << " spawns_inline=" << c.spawns_inline.get()
           << " steals=" << c.steals.get() << "/" << c.steal_attempts.get();
       if (locality_) {
         out << " cpu=" << cpu_of_worker_[i]
@@ -616,9 +577,6 @@ class scheduler {
   }
   // The pool's reclamation domain (DESIGN.md §8; test/diagnostic).
   reclaim_domain& reclaim() noexcept { return reclaim_; }
-  // The growth/backpressure policy in effect (snapshotted from the
-  // environment at construction).
-  const deque_growth& growth_config() const noexcept { return growth_cfg_; }
   bool is_targeted(std::size_t worker) const noexcept {
     return targeted_[worker]->load(std::memory_order_relaxed);
   }
@@ -650,7 +608,7 @@ class scheduler {
                  std::uint64_t rng_seed)
         : id(i),
           reader(p->reclaim_.register_reader()),
-          deque(deque_capacity, &p->reclaim_, p->growth_cfg_),
+          deque(deque_capacity, &p->reclaim_),
           rng(rng_seed) {}
     const std::size_t id;
     // Reclamation reader slot (DESIGN.md §8): registered before any run()
@@ -1253,13 +1211,10 @@ class scheduler {
   }
 
   const std::size_t nworkers_;
-  // §8 growable-deque plumbing. Both must precede workers_ in declaration
-  // order only conceptually (worker_state construction happens in the
-  // constructor body, after all members are initialized): the domain hands
-  // out reader slots and the policy is snapshotted from the environment
-  // once, so every worker's deque shares one consistent configuration.
+  // §8 growable-deque plumbing: the domain hands out every worker's reader
+  // slot (worker_state construction happens in the constructor body, after
+  // all members are initialized).
   reclaim_domain reclaim_;
-  const deque_growth growth_cfg_ = deque_growth::from_env();
   std::vector<std::unique_ptr<worker_state>> workers_;
   std::vector<cache_aligned<std::atomic<bool>>> targeted_;
   // §7 per-victim steal-success EWMA (permille) that victim_selector::pick
@@ -1269,7 +1224,7 @@ class scheduler {
   std::vector<std::thread> threads_;
   parking_lot lot_;
   const bool parking_;
-  const locality_config loc_cfg_;    // §7 knobs (LCWS_PIN, LCWS_EXPLORE_*)
+  const locality_config loc_cfg_;    // §7 knobs (LCWS_LOCALITY_OFF, LCWS_PIN)
   const bool locality_;              // §7 master switch (LCWS_LOCALITY_OFF)
   const std::optional<std::uint64_t> seed_;  // LCWS_SEED; nullopt = legacy
   cpu_topology topo_;                // probed once when locality_ is on

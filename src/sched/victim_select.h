@@ -18,7 +18,7 @@
 //      keep the historically better one. O(1), no weight prefix sums,
 //      and stale EWMAs only cost one pick.
 //
-// Every explore_period-th pick bypasses both levels and samples uniformly
+// Every kExplorePeriod-th pick bypasses both levels and samples uniformly
 // over *all* victims, so remote or cold victims are never starved.
 //
 // Cost contract: pick() is allocation- and fence-free — a few xoshiro
@@ -57,8 +57,6 @@ struct locality_config {
   // pool keeps full per-core bandwidth; compact maximizes shared caches
   // between neighbors and is what bench/locality measures.
   pin_mode pin = pin_mode::scatter;
-  // Every explore_period-th pick is uniform over all victims.
-  std::uint32_t explore_period = 16;
 
   static locality_config from_env() noexcept {
     locality_config c;
@@ -74,10 +72,6 @@ struct locality_config {
       } else if (v == "off" || v == "0") {
         c.pin = pin_mode::off;
       }
-    }
-    if (const char* s = std::getenv("LCWS_EXPLORE_PERIOD")) {
-      const long v = std::atol(s);
-      if (v > 0) c.explore_period = static_cast<std::uint32_t>(v);
     }
     return c;
   }
@@ -124,12 +118,12 @@ inline std::uint64_t worker_rng_seed(const std::optional<std::uint64_t>& user,
 // construction, consulted from the owner's steal loop.
 class victim_selector {
  public:
+  // Every kExplorePeriod-th pick is uniform over all victims.
+  static constexpr std::uint32_t kExplorePeriod = 16;
+
   victim_selector() = default;
 
-  void build(victim_table table, std::uint32_t explore_period) {
-    table_ = std::move(table);
-    explore_period_ = explore_period == 0 ? 1 : explore_period;
-  }
+  void build(victim_table table) { table_ = std::move(table); }
 
   bool empty() const noexcept { return table_.empty(); }
 
@@ -156,7 +150,7 @@ class victim_selector {
   std::size_t pick(Rng& rng, WeightFn&& weight,
                    bool* explored = nullptr) noexcept {
     const auto& ord = table_.order;
-    if (++seq_ >= explore_period_) {
+    if (++seq_ >= kExplorePeriod) {
       // Uniform over all victims: the starvation-freedom escape hatch.
       seq_ = 0;
       if (explored != nullptr) *explored = true;
@@ -186,7 +180,6 @@ class victim_selector {
 
  private:
   victim_table table_;
-  std::uint32_t explore_period_ = 16;
   std::uint32_t seq_ = 0;
 };
 

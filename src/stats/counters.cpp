@@ -32,7 +32,6 @@ op_counters& op_counters::operator+=(const op_counters& other) noexcept {
   deque_grows += other.deque_grows;
   // High-water mark: aggregation takes the max across workers, not a sum.
   if (other.deque_hwm.get() > deque_hwm.get()) deque_hwm = other.deque_hwm;
-  spawns_inline += other.spawns_inline;
   tasks_executed += other.tasks_executed;
   idle_loops += other.idle_loops;
   parks += other.parks;
@@ -71,7 +70,6 @@ op_counters operator-(op_counters a, const op_counters& b) noexcept {
   // deque_hwm is a max, not a sum: differencing is meaningless, so the
   // delta keeps a's observed mark (bench deltas over an interval report
   // the mark reached during the run, since blocks start at zero).
-  a.spawns_inline -= b.spawns_inline;
   a.tasks_executed -= b.tasks_executed;
   a.idle_loops -= b.idle_loops;
   a.parks -= b.parks;
@@ -112,7 +110,7 @@ std::string format_profile(const profile& p) {
       << " signals_sent=" << t.signals_sent
       << " signals_failed=" << t.signals_failed << "\n"
       << "deque_grows=" << t.deque_grows << " deque_hwm=" << t.deque_hwm
-      << " spawns_inline=" << t.spawns_inline << "\n"
+      << "\n"
       << "tasks_executed=" << t.tasks_executed
       << " idle_loops=" << t.idle_loops << "\n"
       << "parks=" << t.parks << " wakes=" << t.wakes

@@ -101,7 +101,7 @@ struct op_counters {
   relaxed_counter steals_by_tier[kStealTierCount];  // indexed by
                                                     // locality_tier
   relaxed_counter locality_explores;  // uniform exploration picks (every
-                                      // explore_period-th victim choice)
+                                      // 16th victim choice)
   relaxed_counter private_work_seen;  // pop_top returned PRIVATE_WORK
   relaxed_counter exposures;       // update_public_bottom transfers
                                    // (tasks moved private -> public)
@@ -119,9 +119,6 @@ struct op_counters {
   relaxed_counter deque_hwm;       // max outstanding tasks observed in this
                                    // worker's deque (high-water mark, NOT a
                                    // sum: += takes the max, - keeps a's)
-  relaxed_counter spawns_inline;   // pardo branches run serially because
-                                   // size_estimate() hit LCWS_DEQUE_SOFT_CAP
-                                   // (backpressure; no push, no steal)
   relaxed_counter tasks_executed;  // jobs actually run by this worker
   relaxed_counter idle_loops;      // scheduling-loop iterations w/o a task
   relaxed_counter parks;           // park episodes (worker blocked idle)
@@ -236,7 +233,6 @@ inline void count_signal_sent() noexcept {}
 inline void count_signal_failed() noexcept {}
 inline void count_deque_grow() noexcept {}
 inline void count_deque_hwm(std::uint64_t size) noexcept { (void)size; }
-inline void count_spawn_inline() noexcept {}
 inline void count_task_executed() noexcept {}
 inline void count_idle_loop() noexcept {}
 inline void count_park() noexcept {}
@@ -299,9 +295,6 @@ inline void count_deque_grow() noexcept { ++local_counters().deque_grows; }
 inline void count_deque_hwm(std::uint64_t size) noexcept {
   auto& c = local_counters().deque_hwm;
   if (size > c.get()) c = size;
-}
-inline void count_spawn_inline() noexcept {
-  ++local_counters().spawns_inline;
 }
 inline void count_task_executed() noexcept {
   ++local_counters().tasks_executed;

@@ -32,10 +32,11 @@
 //   signal_send    signal_support.cpp  pthread_kill reports failure
 //   spurious_wake  parking_lot.h  park() returns immediately, permitless,
 //                                 as if the OS woke the cv spuriously
-//   deque_grow     split/abp/chase_lev deque grow(): the owner stalls
-//                  between copying slots and publishing the new buffer,
-//                  widening the thief-versus-growth race the reclamation
-//                  scheme must survive
+//   deque_grow     deque_storage::grow() (reclaim.h; the split, abp and
+//                  wsmult deques): the owner stalls between copying slots
+//                  and publishing the new buffer, widening the
+//                  thief-versus-growth race the reclamation scheme must
+//                  survive
 //   wsmult_dup     wsmult_deque take/steal: the extractor stalls between
 //                  reading the task pointer and writing its index
 //                  advancement, widening the multiplicity window so

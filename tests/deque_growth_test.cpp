@@ -1,45 +1,16 @@
 // Scheduler-level coverage for growable deques (DESIGN.md §8): a spawn
 // spine that provably exceeds a tiny starting capacity must complete on
-// every scheduler with growth enabled, must throw (never abort) in
-// LCWS_DEQUE_FIXED mode, and the new counters must obey their identities.
+// every scheduler, and the growth counters must obey their identities.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
-#include "deque/deque_common.h"
 #include "sched/dispatch.h"
 #include "sched/scheduler.h"
 
 namespace lcws {
 namespace {
-
-// setenv/unsetenv scope guard (same shape as fault_injection_test.cpp);
-// the scheduler snapshots LCWS_DEQUE_* once at construction, so the guard
-// must enclose the with_scheduler call.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~scoped_env() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 // Left spine of trivial right children: the owner's private deque depth
 // tracks the recursion depth, so depth >> capacity forces doublings.
@@ -62,7 +33,6 @@ class GrowthSweep : public ::testing::TestWithParam<sched_kind> {};
 TEST_P(GrowthSweep, DeepSpawnOutgrowsTinyCapacityAndCompletes) {
   const sched_kind kind = GetParam();
   with_scheduler(kind, 4, tiny_capacity, [&](auto& sched) {
-    ASSERT_FALSE(sched.growth_config().fixed);
     sched.reset_counters();
     EXPECT_EQ(sched.run([&] { return deep_spine(sched, spine_depth); }),
               spine_depth + 1)
@@ -88,37 +58,15 @@ TEST_P(GrowthSweep, DeepSpawnOutgrowsTinyCapacityAndCompletes) {
   });
 }
 
-TEST_P(GrowthSweep, FixedModeRestoresThrowingCapacityCeiling) {
-  const sched_kind kind = GetParam();
-  scoped_env fixed("LCWS_DEQUE_FIXED", "1");
-  with_scheduler(kind, 4, tiny_capacity, [&](auto& sched) {
-    ASSERT_TRUE(sched.growth_config().fixed);
-    sched.reset_counters();
-    if (kind == sched_kind::private_deques) {
-      // Unbounded storage: the fixed knob is a no-op here by design.
-      EXPECT_EQ(sched.run([&] { return deep_spine(sched, spine_depth); }),
-                spine_depth + 1);
-    } else {
-      EXPECT_THROW(
-          (void)sched.run([&] { return deep_spine(sched, spine_depth); }),
-          deque_overflow_error)
-          << to_string(kind);
-    }
-    EXPECT_EQ(sched.profile().totals.deque_grows.get(), 0u)
-        << to_string(kind);
-  });
-}
-
-TEST_P(GrowthSweep, ShallowWorkloadNeverGrowsOrInlines) {
+TEST_P(GrowthSweep, ShallowWorkloadNeverGrows) {
   // The fast path is untouched when nothing overflows: a workload that
-  // fits the default capacity records zero growth and zero inline spawns.
+  // fits the default capacity records zero growth.
   const sched_kind kind = GetParam();
   with_scheduler(kind, 4, [&](auto& sched) {
     sched.reset_counters();
     EXPECT_EQ(sched.run([&] { return deep_spine(sched, 64); }), 65u);
     const auto t = sched.profile().totals;
     EXPECT_EQ(t.deque_grows.get(), 0u) << to_string(kind);
-    EXPECT_EQ(t.spawns_inline.get(), 0u) << to_string(kind);
   });
 }
 
@@ -127,38 +75,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<sched_kind>& info) {
       return std::string(to_string(info.param));
     });
-
-// Backpressure: past the soft cap the owner runs spawns inline instead of
-// pushing, bounding memory while keeping results exact. The cap is far
-// below the spine depth, so inline spawns must fire; inlined frames never
-// touch the deque, so with capacity above the cap nothing ever grows.
-TEST(GrowthBackpressure, SoftCapForcesInlineSpawns) {
-  scoped_env cap("LCWS_DEQUE_SOFT_CAP", "32");
-  with_scheduler(sched_kind::uslcws, 4, tiny_capacity, [&](auto& sched) {
-    ASSERT_EQ(sched.growth_config().soft_cap, 32u);
-    sched.reset_counters();
-    EXPECT_EQ(sched.run([&] { return deep_spine(sched, spine_depth); }),
-              spine_depth + 1);
-    const auto t = sched.profile().totals;
-    EXPECT_GT(t.spawns_inline.get(), 0u);
-    EXPECT_EQ(t.deque_grows.get(), 0u);
-  });
-}
-
-// Fixed mode disables backpressure too: the soft cap is a growth-mode
-// knob, and LCWS_DEQUE_FIXED must restore today's throwing behavior
-// bit-for-bit — no silent serialization.
-TEST(GrowthBackpressure, FixedModeIgnoresSoftCap) {
-  scoped_env cap("LCWS_DEQUE_SOFT_CAP", "32");
-  scoped_env fixed("LCWS_DEQUE_FIXED", "1");
-  with_scheduler(sched_kind::uslcws, 4, tiny_capacity, [&](auto& sched) {
-    sched.reset_counters();
-    EXPECT_THROW(
-        (void)sched.run([&] { return deep_spine(sched, spine_depth); }),
-        deque_overflow_error);
-    EXPECT_EQ(sched.profile().totals.spawns_inline.get(), 0u);
-  });
-}
 
 }  // namespace
 }  // namespace lcws

@@ -1,19 +1,22 @@
 // Unit, stress and model-based property tests for the work-stealing
-// deques (ABP baseline, Chase-Lev, the paper's split deque, and the
-// fence-free wsmult deque).
+// deques (ABP baseline, the paper's split deque, and the fence-free
+// wsmult deque), plus the structural counts of micro_deque's scenarios.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "deque/abp_deque.h"
-#include "deque/chase_lev_deque.h"
+#include "deque/reclaim.h"
 #include "deque/split_deque.h"
 #include "deque/wsmult_deque.h"
+#include "deque_scenarios.h"
 #include "support/rng.h"
 
 namespace lcws {
@@ -89,41 +92,6 @@ TEST(AbpDeque, SizeEstimate) {
   EXPECT_EQ(d.size_estimate(), 3);
   (void)d.pop_top();
   EXPECT_EQ(d.size_estimate(), 2);
-}
-
-// ---------------------------------------------------------------------------
-// Chase-Lev deque
-// ---------------------------------------------------------------------------
-
-TEST(ChaseLevDeque, EmptyPops) {
-  chase_lev_deque<int> d(64);
-  EXPECT_EQ(d.pop_bottom(), nullptr);
-  EXPECT_EQ(d.pop_top().status, steal_status::empty);
-}
-
-TEST(ChaseLevDeque, LifoForOwnerFifoForThieves) {
-  auto arena = make_arena(6);
-  chase_lev_deque<int> d(64);
-  for (auto& x : arena) d.push_bottom(&x);
-  EXPECT_EQ(d.pop_bottom(), &arena[5]);
-  EXPECT_EQ(d.pop_top().task, &arena[0]);
-  EXPECT_EQ(d.pop_top().task, &arena[1]);
-  EXPECT_EQ(d.pop_bottom(), &arena[4]);
-  EXPECT_EQ(d.pop_bottom(), &arena[3]);
-  EXPECT_EQ(d.pop_bottom(), &arena[2]);
-  EXPECT_EQ(d.pop_bottom(), nullptr);
-}
-
-TEST(ChaseLevDeque, CircularIndexingSurvivesManyRounds) {
-  auto arena = make_arena(4);
-  chase_lev_deque<int> d(4);
-  // Push/pop far more elements than the capacity; circular indexing must
-  // keep working because occupancy never exceeds 4.
-  for (int round = 0; round < 100; ++round) {
-    for (auto& x : arena) d.push_bottom(&x);
-    for (int i = 0; i < 4; ++i) EXPECT_NE(d.pop_bottom(), nullptr);
-  }
-  EXPECT_EQ(d.pop_bottom(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -601,27 +569,55 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SplitDequePolicyModelTest,
 // Owner produces and consumes with the given pop variant + exposure policy;
 // `thieves` threads hammer pop_top. Every pushed task must be taken exactly
 // once across all parties.
+//
+// With a reclaim domain, the deque must grow while thieves steal. Thieves
+// register before the first push and quiesce after every attempt. They are
+// paced to at most a quarter of the pushes (plus one in-flight steal each),
+// which keeps the owner's backlog growing, so the buffer is replaced
+// repeatedly under them. Every thief quiesces after the last possible
+// retirement, so the owner's next drain step must free the whole retired
+// list.
 template <typename Deque, typename OwnerStep>
-void exactly_once_stress(Deque& d, int total, int thieves, OwnerStep owner_step) {
+void exactly_once_stress(Deque& d, int total, int thieves, OwnerStep owner_step,
+                         reclaim_domain* domain = nullptr) {
   std::vector<std::atomic<int>> taken(static_cast<std::size_t>(total));
   for (auto& t : taken) t.store(0);
   auto arena = make_arena(total);
   std::atomic<bool> done{false};
   std::atomic<int> consumed{0};
+  std::atomic<int> published{0};
+  std::atomic<int> stolen{0};
 
   std::vector<std::thread> pool;
   for (int t = 0; t < thieves; ++t) {
     pool.emplace_back([&] {
+      const std::size_t reader =
+          domain != nullptr ? domain->register_reader() : 0;
+      if (domain != nullptr) domain->quiesce(reader);
       while (!done.load(std::memory_order_acquire)) {
-        const auto r = d.pop_top();
-        if (r.status == steal_status::stolen) {
-          taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
-          consumed.fetch_add(1);
-        } else {
-          std::this_thread::yield();
+        bool got = false;
+        if (domain == nullptr || stolen.load(std::memory_order_relaxed) * 4 <
+                                     published.load(std::memory_order_relaxed)) {
+          const auto r = d.pop_top();
+          got = r.status == steal_status::stolen;
+          if (got) {
+            taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
+            stolen.fetch_add(1);
+            consumed.fetch_add(1);
+          }
         }
+        if (!got) std::this_thread::yield();
+        // The buffer pointer is provably dropped here.
+        if (domain != nullptr) domain->quiesce(reader);
       }
+      if (domain != nullptr) domain->quiesce(reader);
     });
+  }
+  // The domain contract requires every reader registered before the first
+  // growth; hold pushes until all thieves have their slots.
+  while (domain != nullptr &&
+         domain->reader_count() < static_cast<std::size_t>(thieves)) {
+    std::this_thread::yield();
   }
 
   // Owner: push in batches, interleave exposure and pops.
@@ -629,8 +625,9 @@ void exactly_once_stress(Deque& d, int total, int thieves, OwnerStep owner_step)
   int pushed = 0;
   while (consumed.load(std::memory_order_relaxed) < total) {
     if (pushed < total && rng.bounded(3) != 0) {
-      d.push_bottom(&arena[pushed]);
+      d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
       ++pushed;
+      published.store(pushed, std::memory_order_relaxed);
     } else {
       if (int* t = owner_step(d)) {
         taken[static_cast<std::size_t>(*t)].fetch_add(1);
@@ -646,18 +643,17 @@ void exactly_once_stress(Deque& d, int total, int thieves, OwnerStep owner_step)
   for (int i = 0; i < total; ++i) {
     EXPECT_EQ(taken[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
   }
+  if (domain != nullptr) {
+    EXPECT_GT(d.grow_count(), 0u) << "stress never grew; raise total";
+    EXPECT_EQ(owner_step(d), nullptr);  // drained: a collection point
+    EXPECT_EQ(d.retired_buffers(), 0u);
+  }
 }
 
 TEST(AbpDequeStress, ExactlyOnceUnderConcurrentSteals) {
   abp_deque<int> d(1 << 12);
   exactly_once_stress(d, 2000, 3,
                       [](abp_deque<int>& dq) { return dq.pop_bottom(); });
-}
-
-TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentSteals) {
-  chase_lev_deque<int> d(1 << 12);
-  exactly_once_stress(d, 2000, 3,
-                      [](chase_lev_deque<int>& dq) { return dq.pop_bottom(); });
 }
 
 TEST(SplitDequeStress, ExactlyOnceWithOwnerExposure) {
@@ -691,98 +687,13 @@ TEST(SplitDequeStress, ExactlyOnceWithConservativeExposure) {
 }
 
 // ---------------------------------------------------------------------------
-// Capacity exhaustion (fixed mode): a detectable error, not UB
-// ---------------------------------------------------------------------------
-
-// LCWS_DEQUE_FIXED semantics, requested programmatically: growth disabled,
-// push past capacity throws.
-constexpr deque_growth fixed_mode{/*fixed=*/true, /*soft_cap=*/0};
-
-TEST(SplitDeque, OverflowThrowsWithoutCorruption) {
-  auto arena = make_arena(10);
-  split_deque<int> d(8, nullptr, fixed_mode);
-  for (int i = 0; i < 8; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
-  try {
-    d.push_bottom(&arena[8]);
-    FAIL() << "expected deque_overflow_error";
-  } catch (const deque_overflow_error& e) {
-    EXPECT_NE(std::string(e.what()).find("split_deque"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("deque_capacity"), std::string::npos);
-  }
-  // The failed push published nothing: the 8 resident tasks drain intact
-  // and the deque is usable again afterwards.
-  for (int i = 7; i >= 0; --i) {
-    EXPECT_EQ(d.pop_bottom_original(), &arena[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(d.pop_bottom_original(), nullptr);
-  d.push_bottom(&arena[0]);
-  EXPECT_EQ(d.pop_bottom_original(), &arena[0]);
-}
-
-// The documented capacity contract: a steal consumes the top slot without
-// lowering bot, so stolen slots stay unavailable until the owner drains
-// the deque completely — filling past that drift must throw, not corrupt.
-TEST(SplitDeque, StealDriftOverflowIsDetected) {
-  auto arena = make_arena(9);
-  split_deque<int> d(8, nullptr, fixed_mode);
-  for (int i = 0; i < 8; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
-  while (d.expose_one() == 1) {
-  }
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(d.pop_top().status, steal_status::stolen);
-  }
-  EXPECT_EQ(d.size_estimate(), 0);
-  // All 8 slots are behind top; bot never came down, so the next push
-  // overflows even though the deque is logically empty.
-  EXPECT_THROW(d.push_bottom(&arena[8]), deque_overflow_error);
-  // Owner-side drain (pop_public_bottom on the empty deque) resets the
-  // indices and restores full capacity.
-  EXPECT_EQ(d.pop_public_bottom(), nullptr);
-  for (int i = 0; i < 8; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
-  EXPECT_EQ(d.size_estimate(), 8);
-}
-
-TEST(AbpDeque, OverflowThrowsWithoutCorruption) {
-  auto arena = make_arena(9);
-  abp_deque<int> d(8, nullptr, fixed_mode);
-  for (int i = 0; i < 8; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
-  EXPECT_THROW(d.push_bottom(&arena[8]), deque_overflow_error);
-  for (int i = 7; i >= 0; --i) {
-    EXPECT_EQ(d.pop_bottom(), &arena[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(d.pop_bottom(), nullptr);
-}
-
-TEST(ChaseLevDeque, FixedModeOverflowThrowsInsteadOfAborting) {
-  auto arena = make_arena(9);
-  chase_lev_deque<int> d(8, nullptr, fixed_mode);
-  for (int i = 0; i < 8; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
-  try {
-    d.push_bottom(&arena[8]);
-    FAIL() << "expected deque_overflow_error";
-  } catch (const deque_overflow_error& e) {
-    EXPECT_NE(std::string(e.what()).find("chase_lev_deque"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("deque_capacity"),
-              std::string::npos);
-  }
-  for (int i = 7; i >= 0; --i) {
-    EXPECT_EQ(d.pop_bottom(), &arena[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(d.pop_bottom(), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // Growth: overflow becomes a slow-path doubling event (DESIGN.md §8)
 // ---------------------------------------------------------------------------
-
-// Growth enabled regardless of this process's LCWS_DEQUE_FIXED setting.
-constexpr deque_growth grow_mode{/*fixed=*/false, /*soft_cap=*/0};
 
 TEST(SplitDeque, GrowthPreservesContentsAndOrder) {
   const int n = 1000;
   auto arena = make_arena(n);
-  split_deque<int> d(16, nullptr, grow_mode);
+  split_deque<int> d(16);
   for (auto& x : arena) d.push_bottom(&x);
   EXPECT_EQ(d.private_size(), n);
   // Geometric doubling identity: capacity == initial << grows.
@@ -801,7 +712,7 @@ TEST(SplitDeque, GrowthPreservesContentsAndOrder) {
 TEST(SplitDeque, GrowthAcrossThePublicBoundaryKeepsExposedTasksStealable) {
   const int n = 300;
   auto arena = make_arena(n);
-  split_deque<int> d(8, nullptr, grow_mode);
+  split_deque<int> d(8);
   for (int i = 0; i < 4; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
   for (int i = 0; i < 4; ++i) d.expose_one();
   // Pushing past capacity with live public slots: growth must carry them.
@@ -817,12 +728,12 @@ TEST(SplitDeque, GrowthAcrossThePublicBoundaryKeepsExposedTasksStealable) {
   }
 }
 
-// The legacy StealDriftOverflow scenario, growth edition: drifted slots
-// cost a doubling instead of an exception, and the eventual full drain
-// still resets the indices.
+// A steal consumes the top slot without lowering bot, so stolen slots stay
+// unavailable until the owner drains the deque completely: pushing past
+// that drift costs a doubling.
 TEST(SplitDeque, StealDriftGrowsInsteadOfThrowing) {
   auto arena = make_arena(9);
-  split_deque<int> d(8, nullptr, grow_mode);
+  split_deque<int> d(8);
   for (int i = 0; i < 8; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
   while (d.expose_one() == 1) {
   }
@@ -830,7 +741,7 @@ TEST(SplitDeque, StealDriftGrowsInsteadOfThrowing) {
     ASSERT_EQ(d.pop_top().status, steal_status::stolen);
   }
   EXPECT_EQ(d.size_estimate(), 0);
-  d.push_bottom(&arena[8]);  // would throw in fixed mode
+  d.push_bottom(&arena[8]);  // every slot lies behind top
   EXPECT_EQ(d.grow_count(), 1u);
   EXPECT_EQ(d.pop_bottom_original(), &arena[8]);
 }
@@ -838,36 +749,12 @@ TEST(SplitDeque, StealDriftGrowsInsteadOfThrowing) {
 TEST(AbpDeque, GrowthPreservesContentsAndOrder) {
   const int n = 1000;
   auto arena = make_arena(n);
-  abp_deque<int> d(16, nullptr, grow_mode);
+  abp_deque<int> d(16);
   for (auto& x : arena) d.push_bottom(&x);
   EXPECT_EQ(d.size_estimate(), n);
   EXPECT_EQ(d.capacity(), std::size_t{16} << d.grow_count());
   EXPECT_EQ(d.high_water_mark(), n);
   // FIFO half from the top, LIFO half from the bottom.
-  for (int i = 0; i < n / 2; ++i) {
-    const auto r = d.pop_top();
-    ASSERT_EQ(r.status, steal_status::stolen);
-    EXPECT_EQ(r.task, &arena[static_cast<std::size_t>(i)]);
-  }
-  for (int i = n - 1; i >= n / 2; --i) {
-    ASSERT_EQ(d.pop_bottom(), &arena[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(d.pop_bottom(), nullptr);
-}
-
-TEST(ChaseLevDeque, GrowthRemapsTheCircularRange) {
-  const int n = 500;
-  auto arena = make_arena(n);
-  chase_lev_deque<int> d(4, nullptr, grow_mode);
-  // Wrap the indices first so the live range straddles the old buffer's
-  // modulus when growth remaps it.
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 3; ++i) d.push_bottom(&arena[static_cast<std::size_t>(i)]);
-    for (int i = 0; i < 3; ++i) ASSERT_NE(d.pop_bottom(), nullptr);
-  }
-  for (auto& x : arena) d.push_bottom(&x);
-  EXPECT_GT(d.grow_count(), 0u);
-  EXPECT_EQ(d.size_estimate(), n);
   for (int i = 0; i < n / 2; ++i) {
     const auto r = d.pop_top();
     ASSERT_EQ(r.status, steal_status::stolen);
@@ -885,7 +772,7 @@ TEST(ChaseLevDeque, GrowthRemapsTheCircularRange) {
 TEST(SplitDeque, GrowsPastDefaultDequeCapacity) {
   const int n = static_cast<int>(default_deque_capacity) + 1000;
   auto arena = make_arena(n);
-  split_deque<int> d(default_deque_capacity, nullptr, grow_mode);
+  split_deque<int> d(default_deque_capacity);
   for (auto& x : arena) d.push_bottom(&x);
   EXPECT_GE(d.grow_count(), 1u);
   EXPECT_EQ(d.high_water_mark(), n);
@@ -923,7 +810,7 @@ TEST(SplitDeque, RetiredBuffersAreFreedAtDrainPointsOnceQuiesced) {
   const std::size_t reader = dom.register_reader();
   const int n = 200;
   auto arena = make_arena(n);
-  split_deque<int> d(8, &dom, grow_mode);
+  split_deque<int> d(8, &dom);
   for (auto& x : arena) d.push_bottom(&x);
   const std::uint64_t grown = d.grow_count();
   ASSERT_GT(grown, 0u);
@@ -936,144 +823,48 @@ TEST(SplitDeque, RetiredBuffersAreFreedAtDrainPointsOnceQuiesced) {
   EXPECT_EQ(d.retired_buffers(), 0u);
 }
 
-// Thieves hammer pop_top (quiescing between attempts) while the owner's
-// pushes force repeated growth: every task is consumed exactly once, no
-// thief ever reads freed storage (ASan/TSan-checked in those CI jobs), and
-// the retired list drains once everyone quiesces.
-TEST(SplitDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
+TEST(AbpDeque, RetiredBuffersAreFreedAtDrainPointsOnceQuiesced) {
   reclaim_domain dom;
-  split_deque<int> d(16, &dom, grow_mode);
-  const int total = 6000;
-  const int thieves = 3;
-  std::vector<std::atomic<int>> taken(static_cast<std::size_t>(total));
-  for (auto& t : taken) t.store(0);
-  auto arena = make_arena(total);
-  std::atomic<bool> done{false};
-  std::atomic<int> consumed{0};
-
-  std::vector<std::thread> pool;
-  for (int t = 0; t < thieves; ++t) {
-    pool.emplace_back([&] {
-      const std::size_t reader = dom.register_reader();
-      dom.quiesce(reader);
-      while (!done.load(std::memory_order_acquire)) {
-        const auto r = d.pop_top();
-        if (r.status == steal_status::stolen) {
-          taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
-          consumed.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-        dom.quiesce(reader);  // buffer pointer provably dropped
-      }
-      dom.quiesce(reader);
-    });
-  }
-  // The domain contract requires every reader registered before the first
-  // growth; hold pushes until all thieves have their slots.
-  while (dom.reader_count() < static_cast<std::size_t>(thieves)) {
-    std::this_thread::yield();
-  }
-
-  xoshiro256 rng(42);
-  int pushed = 0;
-  while (consumed.load(std::memory_order_relaxed) < total) {
-    if (pushed < total && rng.bounded(3) != 0) {
-      d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
-      ++pushed;
-      if (rng.bounded(2) == 0) d.expose_one();
-    } else {
-      if (rng.bounded(2) == 0) d.expose_half();
-      int* t = d.pop_bottom_signal_safe();
-      if (t == nullptr) t = d.pop_public_bottom();
-      if (t != nullptr) {
-        taken[static_cast<std::size_t>(*t)].fetch_add(1);
-        consumed.fetch_add(1);
-      } else if (pushed == total) {
-        std::this_thread::yield();
-      }
-    }
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-
-  EXPECT_GT(d.grow_count(), 0u) << "stress never grew; raise total";
-  for (int i = 0; i < total; ++i) {
-    EXPECT_EQ(taken[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
-  }
-  // Every thief quiesced after the last possible retirement, so the next
-  // drain point reclaims the whole retired list.
-  EXPECT_EQ(d.pop_public_bottom(), nullptr);
+  const std::size_t reader = dom.register_reader();
+  const int n = 200;
+  auto arena = make_arena(n);
+  abp_deque<int> d(8, &dom);
+  for (auto& x : arena) d.push_bottom(&x);
+  const std::uint64_t grown = d.grow_count();
+  ASSERT_GT(grown, 0u);
+  EXPECT_EQ(d.retired_buffers(), grown);  // reader silent: nothing freed
+  dom.quiesce(reader);
+  // Taking the last task resets the indices, which collects.
+  for (int i = 0; i < n; ++i) ASSERT_NE(d.pop_bottom(), nullptr);
+  EXPECT_EQ(d.pop_bottom(), nullptr);
   EXPECT_EQ(d.retired_buffers(), 0u);
 }
 
-// Chase-Lev steals are cheap enough that three unpaced thieves can keep the
-// deque under its initial 16 slots for the whole run. Pacing them to at most
-// a quarter of the pushes (plus one in-flight steal each) keeps the owner's
-// backlog growing, so the buffer is replaced repeatedly while thieves steal.
-TEST(ChaseLevDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
+// Thieves steal (quiescing between attempts) while the owner's pushes
+// force repeated growth: every task is consumed exactly once, no thief
+// ever reads freed storage (ASan/TSan-checked in those CI jobs), and the
+// retired list drains once everyone quiesces.
+TEST(SplitDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   reclaim_domain dom;
-  chase_lev_deque<int> d(16, &dom, grow_mode);
-  const int total = 6000;
-  const int thieves = 3;
-  std::vector<std::atomic<int>> taken(static_cast<std::size_t>(total));
-  for (auto& t : taken) t.store(0);
-  auto arena = make_arena(total);
-  std::atomic<bool> done{false};
-  std::atomic<int> consumed{0};
-  std::atomic<int> published{0};
-  std::atomic<int> stolen{0};
-
-  std::vector<std::thread> pool;
-  for (int t = 0; t < thieves; ++t) {
-    pool.emplace_back([&] {
-      const std::size_t reader = dom.register_reader();
-      dom.quiesce(reader);
-      while (!done.load(std::memory_order_acquire)) {
-        bool got = false;
-        if (stolen.load(std::memory_order_relaxed) * 4 <
-            published.load(std::memory_order_relaxed)) {
-          const auto r = d.pop_top();
-          got = r.status == steal_status::stolen;
-          if (got) {
-            taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
-            stolen.fetch_add(1);
-            consumed.fetch_add(1);
-          }
-        }
-        if (!got) std::this_thread::yield();
-        dom.quiesce(reader);
-      }
-      dom.quiesce(reader);
-    });
-  }
-  while (dom.reader_count() < static_cast<std::size_t>(thieves)) {
-    std::this_thread::yield();
-  }
-
+  split_deque<int> d(16, &dom);
   xoshiro256 rng(7);
-  int pushed = 0;
-  while (consumed.load(std::memory_order_relaxed) < total) {
-    if (pushed < total && rng.bounded(3) != 0) {
-      d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
-      ++pushed;
-      published.store(pushed, std::memory_order_relaxed);
-    } else {
-      if (int* t = d.pop_bottom()) {
-        taken[static_cast<std::size_t>(*t)].fetch_add(1);
-        consumed.fetch_add(1);
-      } else if (pushed == total) {
-        std::this_thread::yield();
-      }
-    }
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
+  exactly_once_stress(
+      d, 6000, 3,
+      [&rng](split_deque<int>& dq) -> int* {
+        if (rng.bounded(2) == 0) dq.expose_half();
+        if (int* t = dq.pop_bottom_signal_safe()) return t;
+        return dq.pop_public_bottom();
+      },
+      &dom);
+}
 
-  EXPECT_GT(d.grow_count(), 0u) << "stress never grew; raise total";
-  for (int i = 0; i < total; ++i) {
-    EXPECT_EQ(taken[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
-  }
+// The WS baseline's version: thieves CAS through buffers the owner is
+// concurrently replacing.
+TEST(AbpDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
+  reclaim_domain dom;
+  abp_deque<int> d(16, &dom);
+  exactly_once_stress(
+      d, 6000, 3, [](abp_deque<int>& dq) { return dq.pop_bottom(); }, &dom);
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,7 +944,7 @@ TEST(WsmultDeque, SizeEstimate) {
 TEST(WsmultDeque, GrowthPreservesContentsAndOrder) {
   const int n = 200;
   auto arena = make_arena(n);
-  wsmult_deque<int> d(8, nullptr, grow_mode);
+  wsmult_deque<int> d(8);
   for (auto& x : arena) d.push_bottom(&x);
   EXPECT_GT(d.grow_count(), 0u);
   EXPECT_GE(d.capacity(), static_cast<std::size_t>(n));
@@ -1168,21 +959,12 @@ TEST(WsmultDeque, GrowthPreservesContentsAndOrder) {
   EXPECT_EQ(d.pop_bottom(), nullptr);
 }
 
-TEST(WsmultDeque, FixedModeOverflowThrowsWithoutCorruption) {
-  auto arena = make_arena(5);
-  wsmult_deque<int> d(4, nullptr, fixed_mode);
-  for (int i = 0; i < 4; ++i) d.push_bottom(&arena[i]);
-  EXPECT_THROW(d.push_bottom(&arena[4]), deque_overflow_error);
-  for (int i = 3; i >= 0; --i) EXPECT_EQ(d.pop_bottom(), &arena[i]);
-  EXPECT_EQ(d.pop_bottom(), nullptr);
-}
-
 TEST(WsmultDeque, RetiredBuffersAreFreedAtDrainPointsOnceQuiesced) {
   reclaim_domain dom;
   const std::size_t reader = dom.register_reader();
   const int n = 200;
   auto arena = make_arena(n);
-  wsmult_deque<int> d(8, &dom, grow_mode);
+  wsmult_deque<int> d(8, &dom);
   for (auto& x : arena) d.push_bottom(&x);
   const std::uint64_t grown = d.grow_count();
   ASSERT_GT(grown, 0u);
@@ -1206,58 +988,127 @@ TEST(WsmultDequeStress, ExactlyOnceUnderConcurrentSteals) {
 // list.
 TEST(WsmultDequeStress, ExactlyOnceUnderConcurrentStealsAndGrowth) {
   reclaim_domain dom;
-  wsmult_deque<int> d(16, &dom, grow_mode);
-  const int total = 6000;
-  const int thieves = 3;
-  std::vector<std::atomic<int>> taken(static_cast<std::size_t>(total));
-  for (auto& t : taken) t.store(0);
-  auto arena = make_arena(total);
-  std::atomic<bool> done{false};
-  std::atomic<int> consumed{0};
+  wsmult_deque<int> d(16, &dom);
+  exactly_once_stress(
+      d, 6000, 3, [](wsmult_deque<int>& dq) { return dq.pop_bottom(); },
+      &dom);
+}
 
-  std::vector<std::thread> pool;
-  for (int t = 0; t < thieves; ++t) {
-    pool.emplace_back([&] {
-      const std::size_t reader = dom.register_reader();
-      dom.quiesce(reader);
-      while (!done.load(std::memory_order_acquire)) {
-        const auto r = d.pop_top();
-        if (r.status == steal_status::stolen) {
-          taken[static_cast<std::size_t>(*r.task)].fetch_add(1);
-          consumed.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-        dom.quiesce(reader);
-      }
-      dom.quiesce(reader);
-    });
-  }
-  while (dom.reader_count() < static_cast<std::size_t>(thieves)) {
-    std::this_thread::yield();
-  }
+// ---------------------------------------------------------------------------
+// Structural counts: micro_deque's scenarios against BENCH_deque.json
+// ---------------------------------------------------------------------------
 
-  xoshiro256 rng(23);
-  int pushed = 0;
-  while (consumed.load(std::memory_order_relaxed) < total) {
-    if (pushed < total && rng.bounded(3) != 0) {
-      d.push_bottom(&arena[static_cast<std::size_t>(pushed)]);
-      ++pushed;
-    } else {
-      if (int* t = d.pop_bottom()) {
-        taken[static_cast<std::size_t>(*t)].fetch_add(1);
-        consumed.fetch_add(1);
-      } else if (pushed == total) {
-        std::this_thread::yield();
-      }
+struct counts {
+  std::uint64_t ops, fences, cas, grows, hwm;
+};
+
+std::string cell_key(const std::string& scenario, const std::string& deque,
+                     const std::string& mode) {
+  return scenario + "/" + deque + "/" + mode;
+}
+
+// The string value of `key` in one flat JSON object line.
+std::string json_string(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":\"";
+  const auto at = line.find(tag);
+  if (at == std::string::npos) return {};
+  const auto begin = at + tag.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+// The integer value of `key` in one flat JSON object line.
+std::uint64_t json_count(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const auto at = line.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no \"" << key << "\" in " << line;
+    return 0;
+  }
+  return std::stoull(line.substr(at + tag.size()));
+}
+
+// The committed baseline, keyed by scenario/deque/mode.
+std::map<std::string, counts> committed_counts() {
+  std::map<std::string, counts> rows;
+  std::ifstream in(LCWS_SOURCE_DIR "/BENCH_deque.json");
+  EXPECT_TRUE(in.is_open()) << "BENCH_deque.json not found";
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty()) continue;
+    rows[cell_key(json_string(line, "scenario"), json_string(line, "deque"),
+                  json_string(line, "mode"))] =
+        counts{json_count(line, "ops"), json_count(line, "fences"),
+               json_count(line, "cas"), json_count(line, "grows"),
+               json_count(line, "hwm")};
+  }
+  return rows;
+}
+
+// This run's cells, keyed like committed_counts().
+std::map<std::string, counts> measured_counts() {
+  std::map<std::string, counts> rows;
+  for (const auto& c : deque_scenarios::run_all()) {
+    const auto& t = c.delta;
+    rows[cell_key(c.scenario, c.deque, c.mode)] =
+        counts{static_cast<std::uint64_t>(deque_scenarios::kOps),
+               t.fences.get(), t.cas.get(), t.deque_grows.get(),
+               t.deque_hwm.get()};
+  }
+  return rows;
+}
+
+// Every count of every cell equals the committed baseline, bit for bit.
+TEST(DequeStructural, CountsMatchCommittedBaseline) {
+  const auto committed = committed_counts();
+  const auto measured = measured_counts();
+  EXPECT_EQ(committed.size(), measured.size());
+  for (const auto& [key, want] : committed) {
+    const auto it = measured.find(key);
+    if (it == measured.end()) {
+      ADD_FAILURE() << key << ": committed cell not measured";
+      continue;
+    }
+    const counts& got = it->second;
+    EXPECT_EQ(got.ops, want.ops) << key;
+    EXPECT_EQ(got.fences, want.fences) << key;
+    EXPECT_EQ(got.cas, want.cas) << key;
+    EXPECT_EQ(got.grows, want.grows) << key;
+    EXPECT_EQ(got.hwm, want.hwm) << key;
+  }
+}
+
+// Growth adds zero fences and zero CAS: each grow cell matches its
+// prealloc twin, and 65536 ops from 64 slots is exactly 10 doublings.
+TEST(DequeStructural, GrowthAddsNoFencesOrCas) {
+  const auto measured = measured_counts();
+  for (const char* scenario : {"fill_drain", "steal"}) {
+    for (const char* deque : {"split", "abp", "wsmult"}) {
+      const std::string grow_key = cell_key(scenario, deque, "grow");
+      const std::string pre_key = cell_key(scenario, deque, "prealloc");
+      ASSERT_EQ(measured.count(grow_key), 1u) << grow_key;
+      ASSERT_EQ(measured.count(pre_key), 1u) << pre_key;
+      const counts& grow = measured.at(grow_key);
+      const counts& pre = measured.at(pre_key);
+      EXPECT_EQ(grow.fences, pre.fences) << grow_key;
+      EXPECT_EQ(grow.cas, pre.cas) << grow_key;
+      EXPECT_EQ(grow.grows, 10u) << grow_key;
+      EXPECT_EQ(pre.grows, 0u) << pre_key;
     }
   }
-  done.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
+}
 
-  EXPECT_GT(d.grow_count(), 0u) << "stress never grew; raise total";
-  for (int i = 0; i < total; ++i) {
-    EXPECT_EQ(taken[static_cast<std::size_t>(i)].load(), 1) << "task " << i;
+// The split deque's private fill+drain, and the wsmult deque's owner
+// put/take and thief steal, perform no fence and no CAS in either mode.
+TEST(DequeStructural, SynchronizationFreeCellsStayAtZero) {
+  const auto measured = measured_counts();
+  const std::pair<const char*, const char*> sync_free[] = {
+      {"fill_drain", "split"}, {"fill_drain", "wsmult"}, {"steal", "wsmult"}};
+  for (const auto& [scenario, deque] : sync_free) {
+    for (const char* mode : {"prealloc", "grow"}) {
+      const std::string key = cell_key(scenario, deque, mode);
+      ASSERT_EQ(measured.count(key), 1u) << key;
+      EXPECT_EQ(measured.at(key).fences, 0u) << key;
+      EXPECT_EQ(measured.at(key).cas, 0u) << key;
+    }
   }
 }
 

@@ -295,7 +295,7 @@ TEST(VictimSelector, VisitsEveryVictimAndPrefersNear) {
   const cpu_topology topo = probe_topology(t.path());
   const std::vector<int> cpus = {0, 1, 2, 4, 8};
   victim_selector sel;
-  sel.build(build_victim_table(topo, cpus, 0), /*explore_period=*/16);
+  sel.build(build_victim_table(topo, cpus, 0));
   ASSERT_FALSE(sel.empty());
   EXPECT_EQ(sel.tier_of(1), locality_tier::smt);
   EXPECT_EQ(sel.tier_size(locality_tier::smt), 1u);
@@ -321,8 +321,8 @@ TEST(VictimSelector, VisitsEveryVictimAndPrefersNear) {
   // one (p ~ 1/8 as the absorbing farthest tier): ratio ~3.7 with the
   // uniform exploration rounds folded in.
   EXPECT_GT(visits[1], 3 * visits[4]);
-  // Exploration fires once per explore_period.
-  EXPECT_EQ(explorations, kPicks / 16);
+  // Exploration fires once per kExplorePeriod picks.
+  EXPECT_EQ(explorations, kPicks / victim_selector::kExplorePeriod);
 }
 
 TEST(VictimSelector, UnpinnedWorkersDegradeToUniform) {
@@ -331,7 +331,7 @@ TEST(VictimSelector, UnpinnedWorkersDegradeToUniform) {
   const cpu_topology topo;  // empty, never consulted for cpu -1
   const std::vector<int> cpus = {-1, -1, -1, -1};
   victim_selector sel;
-  sel.build(build_victim_table(topo, cpus, 0), 16);
+  sel.build(build_victim_table(topo, cpus, 0));
   xoshiro256 rng(7);
   std::map<std::size_t, std::size_t> visits;
   for (std::size_t i = 0; i < 12000; ++i) {
@@ -345,11 +345,13 @@ TEST(VictimSelector, UnpinnedWorkersDegradeToUniform) {
 
 TEST(VictimSelector, WeightBiasesWithinTier) {
   // Two victims in one (remote) tier, one with a much better EWMA: the
-  // power-of-two-choices pick should favor it ~3:1.
+  // power-of-two-choices pick should favor it ~3:1. Every 16th pick is a
+  // uniform exploration round, so the expected hit rate is about 73%
+  // (15/16 * 0.75 + 1/16 * 0.5).
   const cpu_topology topo;
   const std::vector<int> cpus = {-1, -1, -1};
   victim_selector sel;
-  sel.build(build_victim_table(topo, cpus, 0), 1u << 30);  // no exploration
+  sel.build(build_victim_table(topo, cpus, 0));
   xoshiro256 rng(99);
   std::size_t hits = 0;
   constexpr std::size_t kPicks = 10000;
