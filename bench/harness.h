@@ -43,9 +43,14 @@ namespace lcws::benchh {
 
 // ---- environment -----------------------------------------------------------
 
-inline double env_scale() {
-  if (const char* s = std::getenv("LCWS_BENCH_SCALE")) return std::atof(s);
-  return 0.05;
+// A scale that is not a positive number (0, negative, garbage) keeps
+// `fallback`: default_size() casts the scaled size to std::size_t.
+inline double env_scale(double fallback = 0.05) {
+  if (const char* s = std::getenv("LCWS_BENCH_SCALE")) {
+    const double v = std::atof(s);
+    if (v > 0) return v;
+  }
+  return fallback;
 }
 
 inline int env_rounds() {

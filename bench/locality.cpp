@@ -1,9 +1,8 @@
 // Microbenchmark for locality-aware victim selection (DESIGN.md §7).
 //
 // Two cache-heavy kernels from the parallel toolkit, each run for every
-// scheduler kind with locality-aware stealing enabled and disabled (the
-// LCWS_LOCALITY_OFF kill-switch, applied here via the constructor knob so
-// one process measures both):
+// scheduler kind with locality-aware stealing enabled and disabled
+// (pool_config::locality, so one process measures both):
 //
 //   sample_sort  oversampled bucket sort of 64-bit keys. Bucket scatter is
 //                bandwidth-bound; a thief that steals from an LLC-sharing
@@ -33,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "parallel/histogram.h"
 #include "parallel/sample_sort.h"
 #include "sched/dispatch.h"
@@ -49,21 +49,6 @@ constexpr std::size_t kSortBase = 200 * 1000;
 constexpr std::size_t kHistBase = 400 * 1000;
 constexpr std::size_t kHistBuckets = 256;
 
-double env_scale() {
-  if (const char* s = std::getenv("LCWS_BENCH_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0) return v;
-  }
-  return 1.0;
-}
-
-int env_rounds() {
-  if (const char* s = std::getenv("LCWS_BENCH_ROUNDS")) {
-    return std::max(1, std::atoi(s));
-  }
-  return 3;
-}
-
 struct measurement {
   double seconds = 0;  // median of the timed rounds
   std::uint64_t steals = 0;
@@ -76,29 +61,30 @@ struct measurement {
 // Runs `kernel(sched)` once as warmup and `rounds` timed repetitions,
 // keeping the median time and the counters summed over the timed rounds.
 template <typename Kernel>
-measurement measure(sched_kind kind, locality_mode locality, int rounds,
+measurement measure(sched_kind kind, bool locality, int rounds,
                     Kernel&& kernel) {
   measurement m;
-  with_scheduler(
-      kind, kWorkers, parking_mode::env_default, locality, [&](auto& sched) {
-        sched.run([&] { kernel(sched); });  // warmup
-        sched.reset_counters();
-        std::vector<double> times;
-        times.reserve(static_cast<std::size_t>(rounds));
-        for (int r = 0; r < rounds; ++r) {
-          stopwatch sw;
-          sched.run([&] { kernel(sched); });
-          times.push_back(sw.elapsed_seconds());
-        }
-        std::sort(times.begin(), times.end());
-        m.seconds = times[times.size() / 2];
-        const auto t = sched.profile().totals;
-        m.steals = t.steals;
-        m.steals_near = t.steals_near;
-        m.steals_remote = t.steals_remote;
-        m.claims_lost = t.claims_lost;
-        m.near_fraction = sched.profile().near_steal_fraction();
-      });
+  pool_config cfg = pool_config::from_env();
+  cfg.locality = locality;
+  with_scheduler(kind, kWorkers, cfg, [&](auto& sched) {
+    sched.run([&] { kernel(sched); });  // warmup
+    sched.reset_counters();
+    std::vector<double> times;
+    times.reserve(static_cast<std::size_t>(rounds));
+    for (int r = 0; r < rounds; ++r) {
+      stopwatch sw;
+      sched.run([&] { kernel(sched); });
+      times.push_back(sw.elapsed_seconds());
+    }
+    std::sort(times.begin(), times.end());
+    m.seconds = times[times.size() / 2];
+    const auto t = sched.profile().totals;
+    m.steals = t.steals;
+    m.steals_near = t.steals_near;
+    m.steals_remote = t.steals_remote;
+    m.claims_lost = t.claims_lost;
+    m.near_fraction = sched.profile().near_steal_fraction();
+  });
   return m;
 }
 
@@ -135,10 +121,8 @@ void print_row(const char* kernel, sched_kind kind, const char* mode,
 template <typename Kernel>
 void run_kernel(const char* name, int rounds, Kernel&& kernel) {
   for (const sched_kind kind : all_sched_kinds) {
-    const measurement on =
-        measure(kind, locality_mode::enabled, rounds, kernel);
-    const measurement off =
-        measure(kind, locality_mode::disabled, rounds, kernel);
+    const measurement on = measure(kind, true, rounds, kernel);
+    const measurement off = measure(kind, false, rounds, kernel);
     print_row(name, kind, "on", on);
     print_row(name, kind, "off", off);
     maybe_append_json(name, kind, "on", on);
@@ -149,8 +133,8 @@ void run_kernel(const char* name, int rounds, Kernel&& kernel) {
 }  // namespace
 
 int main() {
-  const double scale = env_scale();
-  const int rounds = env_rounds();
+  const double scale = benchh::env_scale(1.0);
+  const int rounds = benchh::env_rounds();
   const std::size_t sort_n =
       std::max<std::size_t>(1000, static_cast<std::size_t>(
                                       static_cast<double>(kSortBase) * scale));

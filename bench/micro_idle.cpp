@@ -1,8 +1,7 @@
 // Microbenchmark for adaptive worker parking (elastic idling).
 //
 // Two phases, each run for every scheduler kind with parking enabled and
-// disabled (the LCWS_NO_PARKING kill-switch, applied here via the
-// constructor knob so one process measures both):
+// disabled (pool_config::parking, so one process measures both):
 //
 //   idle-CPU   worker 0 runs a ~200ms *sequential* spin inside run() at
 //              P=8 while the other 7 workers have nothing to do. The CPU
@@ -79,9 +78,11 @@ struct measurement {
   std::uint64_t idle_ns = 0;
 };
 
-measurement measure(sched_kind kind, parking_mode parking) {
+measurement measure(sched_kind kind, bool parking) {
   measurement m;
-  with_scheduler(kind, kWorkers, parking, [&](auto& sched) {
+  pool_config cfg = pool_config::from_env();
+  cfg.parking = parking;
+  with_scheduler(kind, kWorkers, cfg, [&](auto& sched) {
     sched.reset_counters();
     sched.run([&] {
       // Phase 1: idle CPU while worker 0 works alone.
@@ -143,8 +144,8 @@ int main() {
   std::printf("%-16s %-8s %12s %12s %8s %8s\n", "scheduler", "parking",
               "idle-cpu (s)", "burst (ms)", "parks", "wakes");
   for (const sched_kind kind : all_sched_kinds) {
-    measurement on = measure(kind, parking_mode::enabled);
-    measurement off = measure(kind, parking_mode::disabled);
+    measurement on = measure(kind, true);
+    measurement off = measure(kind, false);
     std::printf("%-16s %-8s %12.4f %12.3f %8llu %8llu\n", to_string(kind),
                 "on", on.idle_cpu_s, on.burst_med_s * 1e3,
                 static_cast<unsigned long long>(on.parks),

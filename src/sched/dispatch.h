@@ -8,76 +8,43 @@
 #include <cstddef>
 #include <utility>
 
+#include "sched/config.h"
 #include "sched/policies.h"
 #include "sched/scheduler.h"
-#include "sched/victim_select.h"
-#include "support/parking_lot.h"
 
 namespace lcws {
 
 // Constructs a scheduler of the requested kind with `num_workers` workers
-// and invokes visitor(sched). The scheduler is torn down before returning.
-// `deque_capacity` sets each worker's initial deque size (growth tests use
-// tiny values to force doubling); `parking` forwards the elastic-idling
-// knob (default: LCWS_NO_PARKING env); `locality` the victim-selection one
-// (default: LCWS_LOCALITY_OFF env). Usage:
+// and the settings in `cfg` (sched/config.h), and invokes visitor(sched).
+// The scheduler is torn down before returning. Usage:
 //   with_scheduler(kind, p, [&](auto& sched) { ... });
+//   with_scheduler(kind, p, pool_config{.parking = false}, visitor);
 template <typename Visitor>
 decltype(auto) with_scheduler(sched_kind kind, std::size_t num_workers,
-                              std::size_t deque_capacity,
-                              parking_mode parking, locality_mode locality,
-                              Visitor&& visitor) {
+                              const pool_config& cfg, Visitor&& visitor) {
   // Generated from the LCWS_SCHED_KINDS x-macro (policies.h): one case
   // per policy, so a new scheduler kind needs no edit here.
   switch (kind) {
-#define LCWS_SCHED_KIND_CASE(kind_, policy)                             \
-  case sched_kind::kind_: {                                             \
-    scheduler<policy> sched(num_workers, deque_capacity, parking,       \
-                            locality);                                  \
-    return std::forward<Visitor>(visitor)(sched);                       \
+#define LCWS_SCHED_KIND_CASE(kind_, policy)       \
+  case sched_kind::kind_: {                       \
+    scheduler<policy> sched(num_workers, cfg);    \
+    return std::forward<Visitor>(visitor)(sched); \
   }
     LCWS_SCHED_KINDS(LCWS_SCHED_KIND_CASE)
 #undef LCWS_SCHED_KIND_CASE
   }
   // Unreachable for in-range kinds; keeps -Wreturn-type quiet for
   // out-of-range casts.
-  lace_scheduler sched(num_workers, deque_capacity, parking, locality);
+  lace_scheduler sched(num_workers, cfg);
   return std::forward<Visitor>(visitor)(sched);
 }
 
-template <typename Visitor>
-decltype(auto) with_scheduler(sched_kind kind, std::size_t num_workers,
-                              parking_mode parking, locality_mode locality,
-                              Visitor&& visitor) {
-  return with_scheduler(kind, num_workers, default_deque_capacity, parking,
-                        locality, std::forward<Visitor>(visitor));
-}
-
-// The visitor is a callable, never convertible to std::size_t, so this
-// capacity-only overload cannot collide with the parking one above.
-template <typename Visitor>
-decltype(auto) with_scheduler(sched_kind kind, std::size_t num_workers,
-                              std::size_t deque_capacity,
-                              Visitor&& visitor) {
-  return with_scheduler(kind, num_workers, deque_capacity,
-                        parking_mode::env_default,
-                        locality_mode::env_default,
-                        std::forward<Visitor>(visitor));
-}
-
-template <typename Visitor>
-decltype(auto) with_scheduler(sched_kind kind, std::size_t num_workers,
-                              parking_mode parking, Visitor&& visitor) {
-  return with_scheduler(kind, num_workers, parking,
-                        locality_mode::env_default,
-                        std::forward<Visitor>(visitor));
-}
-
+// The settings come from the LCWS_* environment, read afresh for each
+// pool.
 template <typename Visitor>
 decltype(auto) with_scheduler(sched_kind kind, std::size_t num_workers,
                               Visitor&& visitor) {
-  return with_scheduler(kind, num_workers, parking_mode::env_default,
-                        locality_mode::env_default,
+  return with_scheduler(kind, num_workers, pool_config::from_env(),
                         std::forward<Visitor>(visitor));
 }
 

@@ -35,29 +35,31 @@
 // owner pushes), so the thief's bounded retract answers faster than a wake
 // round-trip would — and waking provably-empty victims chain-reacts into a
 // wake storm when the whole pool idles.
-// Parking is gated by LCWS_NO_PARKING / a constructor knob and never
-// touches the paper's fence/CAS/steal/exposure counters (see DESIGN.md).
+// Parking is gated by pool_config::parking and never touches the paper's
+// fence/CAS/steal/exposure counters (see DESIGN.md).
 //
 // Hardening (DESIGN.md "Failure model & hardening"):
 //   * Exceptions: a task that throws is captured in its job and rethrown
 //     at the spawning pardo after the join has drained — user exceptions
 //     surface at the spawn site in every family and never unwind a worker
 //     loop or the (noexcept) signal-handler exposure path.
-//   * Watchdog: LCWS_WATCHDOG_MS=<n> arms a monitor thread that dumps
-//     per-worker state (dump_worker_state()) and aborts when no task-level
-//     progress happens for a full deadline while a run() is active.
+//   * Watchdog: a pool_config::watchdog deadline (LCWS_WATCHDOG_MS) arms
+//     a monitor thread that dumps per-worker state (dump_worker_state())
+//     and aborts when no task-level progress happens for a full deadline
+//     while a run() is active.
 //   * Fault injection: under LCWS_FAULT_INJECTION the fi:: sites in
-//     deque_steal/mailbox_steal (forced steal failure), signal_support.cpp
-//     (dropped/delayed/unsendable exposure signals) and parking_lot.h
-//     (spurious wakeups) can be armed deterministically; zero-cost
-//     otherwise.
+//     deque_steal/mailbox_steal (forced steal failure), register_worker
+//     (perf_event open failure), signal_support.cpp (dropped/delayed/
+//     unsendable exposure signals) and parking_lot.h (spurious wakeups) can
+//     be armed deterministically; zero-cost otherwise.
 //   * Signal-send failure (DESIGN.md §5.4, §6): Listing 3 is the signal
 //     family's only path. A send that fails is counted in signals_failed
 //     and the thief clears the victim's targeted flag so a later thief can
 //     try again; every exposure request resolves to exactly one of
 //     signals_sent or signals_failed.
-//   * LCWS_DUMP_ON_EXIT emits dump_worker_state() at destruction ("1" or
-//     "stderr" to stderr, anything else appends to that file path).
+//   * pool_config::dump_on_exit (LCWS_DUMP_ON_EXIT) emits
+//     dump_worker_state() at destruction ("1" or "stderr" to stderr,
+//     anything else appends to that file path).
 //
 // Locality-aware victim selection (DESIGN.md §7, sched/victim_select.h):
 //   * Workers are pinned to CPUs (LCWS_PIN=compact|scatter|off) and each
@@ -70,11 +72,8 @@
 //   * Steals that took a task are classified near/remote + per tier
 //     (stats/counters.h): steals - claims_lost == steals_near +
 //     steals_remote while the layer is on.
-//   * LCWS_LOCALITY_OFF=1 (or the constructor knob) removes the layer:
-//     no pinning, and victim choice is the legacy uniform rng draw
-//     bit-for-bit.
-//   * LCWS_SEED=<n> reseeds the per-worker xoshiro streams (reproducible
-//     victim-selection experiments); unset keeps the historical seeds.
+//   * pool_config::locality = false removes the layer: no pinning, and
+//     victim choice is a uniform rng draw.
 //
 // Cancellation & deadlines (DESIGN.md §11):
 //   * Cooperative cancellation: cancel_run() — or run_for()'s deadline, or
@@ -90,15 +89,14 @@
 
 #include <atomic>
 #include <cassert>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -108,6 +106,7 @@
 
 #include "deque/job.h"
 #include "deque/reclaim.h"
+#include "sched/config.h"
 #include "sched/policies.h"
 #include "sched/run_errors.h"
 #include "sched/signal_support.h"
@@ -133,38 +132,29 @@ class scheduler {
   using deque_type = typename Policy::deque_type;
   static constexpr sched_family family = Policy::family;
 
-  // deque_capacity is each worker's starting deque size; a deque that
-  // fills up doubles its storage (DESIGN.md §8). `parking` is the
-  // elastic-idling kill-switch (default: on unless LCWS_NO_PARKING is set
-  // in the environment); `locality` the victim-selection one (default: on
-  // unless LCWS_LOCALITY_OFF is set).
+  // Every setting of the pool is a field of `cfg` (sched/config.h); the
+  // default reads the LCWS_* environment afresh for each pool.
   explicit scheduler(std::size_t num_workers,
-                     std::size_t deque_capacity = default_deque_capacity,
-                     parking_mode parking = parking_mode::env_default,
-                     locality_mode locality = locality_mode::env_default)
+                     pool_config cfg = pool_config::from_env())
       : nworkers_(num_workers == 0 ? 1 : num_workers),
         targeted_(nworkers_),
         victim_steal_ewma_(nworkers_),
         counters_(nworkers_),
         lot_(nworkers_),
-        parking_(parking_enabled(parking) && nworkers_ > 1),
-        loc_cfg_(locality_config::from_env()),
-        locality_(locality_enabled(locality, loc_cfg_) && nworkers_ > 1),
-        seed_(env_seed()),
-        dump_on_exit_([] {
-          const char* s = std::getenv("LCWS_DUMP_ON_EXIT");
-          return s == nullptr ? std::string() : std::string(s);
-        }()),
-        owner_(std::this_thread::get_id()) {
-    // Observability (DESIGN.md §10): per-worker trace rings (LCWS_TRACE)
-    // and hardware-counter slots, both sized before any worker runs so the
-    // hot paths never allocate.
-    tracer_.init(nworkers_, trace::config::from_env());
+        parking_(cfg.parking && nworkers_ > 1),
+        locality_(cfg.locality && nworkers_ > 1),
+        hw_enabled_(cfg.perf),
+        owner_(std::this_thread::get_id()),
+        cfg_(std::move(cfg)) {
+    // Observability (DESIGN.md §10): per-worker trace rings and
+    // hardware-counter slots, both sized before any worker runs so the hot
+    // paths never allocate.
+    tracer_.init(nworkers_, cfg_.trace, cfg_.trace_ring);
     hw_slots_ = std::vector<cache_aligned<hw_slot>>(nworkers_);
     workers_.reserve(nworkers_);
     for (std::size_t i = 0; i < nworkers_; ++i) {
       workers_.push_back(std::make_unique<worker_state>(
-          this, i, deque_capacity, worker_rng_seed(seed_, i)));
+          this, i, cfg_.deque_capacity, worker_rng_seed(i)));
     }
     // Locality layer: probe the hierarchy, settle the worker->CPU plan and
     // precompute each worker's distance-ordered victim table — all before
@@ -176,7 +166,7 @@ class scheduler {
         ewma->store(500, std::memory_order_relaxed);
       }
       topo_ = probe_topology();
-      const std::vector<int> order = pin_order(topo_, loc_cfg_.pin);
+      const std::vector<int> order = pin_order(topo_, cfg_.pin);
       if (!order.empty()) {
         for (std::size_t i = 0; i < nworkers_; ++i) {
           cpu_of_worker_[i] = order[i % order.size()];
@@ -209,9 +199,9 @@ class scheduler {
     }
     // Opt-in stall watchdog (LCWS_WATCHDOG_MS): armed around each run(),
     // reads only relaxed atomics, aborts with a per-worker dump on a stall.
-    if (const auto deadline = watchdog::env_deadline()) {
+    if (cfg_.watchdog.count() > 0) {
       dog_ = std::make_unique<watchdog>(
-          *deadline, [this] { return progress_token(); },
+          cfg_.watchdog, [this] { return progress_token(); },
           [this] { return dump_worker_state(); }, watchdog::stall_fn{},
           // §11 escalation rung 1: a frozen window cancels the active run
           // cooperatively before the (second-window) abort.
@@ -234,7 +224,7 @@ class scheduler {
     finalize_worker_hw(0);
     // Post-mortem knob: all workers have joined, so the state below is the
     // pool's final quiescent snapshot.
-    if (!dump_on_exit_.empty()) emit_exit_dump();
+    if (!cfg_.dump_on_exit.empty()) emit_exit_dump();
     if (tracer_.enabled()) tracer_.write_chrome_json(Policy::name);
     unregister_worker();
     // Un-pin the constructing thread: it outlives this pool.
@@ -246,7 +236,7 @@ class scheduler {
 
   // Runs `f` as the root of a parallel computation on worker 0 (the thread
   // that constructed this scheduler), waking the other workers for its
-  // duration. Returns f's result. With LCWS_RUN_TIMEOUT_MS set, every
+  // duration. Returns f's result. With pool_config::run_timeout set, every
   // top-level run carries that deadline (see run_for).
   template <typename F>
   decltype(auto) run(F&& f) {
@@ -255,9 +245,8 @@ class scheduler {
     if (active_.load(std::memory_order_relaxed)) {
       return std::forward<F>(f)();  // nested run: already inside a root
     }
-    if (run_timeout_ms_ != 0) {
-      return run_for(std::chrono::milliseconds(run_timeout_ms_),
-                     std::forward<F>(f));
+    if (cfg_.run_timeout.count() != 0) {
+      return run_for(cfg_.run_timeout, std::forward<F>(f));
     }
     return run_root(std::forward<F>(f));
   }
@@ -482,7 +471,8 @@ class scheduler {
   // Whether per-worker perf_event sampling was requested (LCWS_PERF).
   bool hw_counters_enabled() const noexcept { return hw_enabled_; }
 
-  // The trace layer (test/diagnostic; enabled iff LCWS_TRACE was set).
+  // The trace layer (test/diagnostic; enabled iff pool_config::trace is
+  // set).
   const trace::tracer& tracer() const noexcept { return tracer_; }
 
   // Zeroes all counters (call while no computation is running).
@@ -509,17 +499,23 @@ class scheduler {
     return token;
   }
 
-  // Human-readable per-worker snapshot: deque indices, targeted/parked
-  // flags and key counters. Reads only relaxed atomics, so it is safe to
-  // call from the watchdog's monitor thread mid-hang (values are racy
-  // estimates — exactly what a post-mortem needs).
+  // Human-readable snapshot: the pool's settings, then per worker deque
+  // indices, targeted/parked flags and key counters. Reads only relaxed
+  // atomics, so it is safe to call from the watchdog's monitor thread
+  // mid-hang (values are racy estimates — exactly what a post-mortem needs).
   std::string dump_worker_state() const {
     std::ostringstream out;
     out << "scheduler=" << Policy::name << " workers=" << nworkers_
         << " active=" << active_.load(std::memory_order_relaxed)
         << " shutdown=" << shutdown_.load(std::memory_order_relaxed)
-        << " parking=" << parking_ << " locality=" << locality_
         << " cancelled=" << cancelled_.load(std::memory_order_relaxed)
+        << " deque_capacity=" << cfg_.deque_capacity
+        << " parking=" << cfg_.parking << " locality=" << cfg_.locality
+        << " pin=" << to_string(cfg_.pin)
+        << " watchdog_ms=" << cfg_.watchdog.count()
+        << " run_timeout_ms=" << cfg_.run_timeout.count()
+        << " dump_on_exit=" << cfg_.dump_on_exit << " trace=" << cfg_.trace
+        << " trace_ring=" << cfg_.trace_ring << " perf=" << cfg_.perf
         << "\n";
     for (std::size_t i = 0; i < nworkers_; ++i) {
       const auto& c = counters_[i].get();
@@ -659,7 +655,8 @@ class scheduler {
       // its own on entry; availability (or the errno) is published for
       // collect_hw()/dump_worker_state.
       auto& ws = *workers_[id];
-      ws.hw.open(stats::perf_env_force_errno());
+      // perf_open: the EACCES a locked-down container gets, on any host.
+      ws.hw.open(fi::inject(fi::site::perf_open) ? EACCES : 0);
       auto& slot = hw_slots_[id].get();
       const std::string st = ws.hw.status();
       slot.state.store(st == "available"                   ? kHwFull
@@ -916,9 +913,9 @@ class scheduler {
     try {
       const std::string report = dump_worker_state();
       std::lock_guard<std::mutex> lock(trace::dump_mutex());
-      if (dump_on_exit_ == "1" || dump_on_exit_ == "stderr") {
+      if (cfg_.dump_on_exit == "1" || cfg_.dump_on_exit == "stderr") {
         std::fputs(report.c_str(), stderr);
-      } else if (std::FILE* f = std::fopen(dump_on_exit_.c_str(), "a")) {
+      } else if (std::FILE* f = std::fopen(cfg_.dump_on_exit.c_str(), "a")) {
         std::fputs(report.c_str(), f);
         std::fclose(f);
       }
@@ -977,7 +974,7 @@ class scheduler {
           &explored);
       if (explored) stats::count_locality_explore();
     } else {
-      // Legacy uniform choice (LCWS_LOCALITY_OFF), bit-for-bit.
+      // Locality off: uniform choice.
       victim = ws.rng.bounded(nworkers_ - 1);
       if (victim >= self) ++victim;  // uniform over the other workers
     }
@@ -1223,17 +1220,14 @@ class scheduler {
   mutable std::vector<cache_aligned<stats::op_counters>> counters_;
   std::vector<std::thread> threads_;
   parking_lot lot_;
-  const bool parking_;
-  const locality_config loc_cfg_;    // §7 knobs (LCWS_LOCALITY_OFF, LCWS_PIN)
-  const bool locality_;              // §7 master switch (LCWS_LOCALITY_OFF)
-  const std::optional<std::uint64_t> seed_;  // LCWS_SEED; nullopt = legacy
+  const bool parking_;               // cfg_.parking, and more than 1 worker
+  const bool locality_;              // §7: cfg_.locality, and > 1 worker
   cpu_topology topo_;                // probed once when locality_ is on
   std::vector<int> cpu_of_worker_;   // -1 = unpinned
   saved_affinity saved_affinity_;    // worker 0's pre-pin mask
-  const std::string dump_on_exit_;  // LCWS_DUMP_ON_EXIT; empty = off
-  std::unique_ptr<watchdog> dog_;  // LCWS_WATCHDOG_MS; null when disabled
-  trace::tracer tracer_;    // §10 event rings (LCWS_TRACE; empty = off)
-  const bool hw_enabled_ = stats::perf_env_enabled();  // LCWS_PERF
+  std::unique_ptr<watchdog> dog_;  // null unless cfg_.watchdog is set
+  trace::tracer tracer_;    // §10 event rings (off unless cfg_.trace is set)
+  const bool hw_enabled_;   // cfg_.perf
   std::vector<cache_aligned<hw_slot>> hw_slots_;  // §10 per-worker samples
 
   std::atomic<std::size_t> ready_{0};
@@ -1242,20 +1236,12 @@ class scheduler {
   // §11 per-run cancellation token; deliberately adjacent to active_ (both
   // read-mostly, loaded together at every pardo).
   std::atomic<bool> cancelled_{false};
-  const std::uint64_t run_timeout_ms_ = env_run_timeout_ms();
   std::mutex mutex_;
   std::condition_variable idle_cv_;
   const std::thread::id owner_;
-
-  // LCWS_RUN_TIMEOUT_MS: a global deadline wrapped around every top-level
-  // run(); 0 (unset/garbage) disables.
-  static std::uint64_t env_run_timeout_ms() noexcept {
-    const char* s = std::getenv("LCWS_RUN_TIMEOUT_MS");
-    if (s == nullptr || *s == '\0') return 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    return (end == s || *end != '\0') ? 0 : static_cast<std::uint64_t>(v);
-  }
+  // Read only on cold paths: construction, run() entry, destruction and
+  // dumps. The hot paths read parking_ and locality_ instead.
+  const pool_config cfg_;
 };
 
 using ws_scheduler = scheduler<ws_policy>;

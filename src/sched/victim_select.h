@@ -24,14 +24,12 @@
 // Cost contract: pick() is allocation- and fence-free — a few xoshiro
 // draws plus relaxed EWMA loads through the caller's weight functor. The
 // table is built at pool construction (never on the steal path), and
-// LCWS_LOCALITY_OFF=1 (or the constructor knob) removes the layer
-// entirely: the scheduler then runs the legacy uniform choice bit-for-bit.
+// pool_config::locality = false removes the layer entirely: the scheduler
+// then draws victims uniformly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,75 +38,8 @@
 
 namespace lcws {
 
-// Constructor knob mirroring parking_mode: default defers to the
-// LCWS_LOCALITY_OFF environment variable.
-enum class locality_mode {
-  env_default,
-  disabled,
-  enabled,
-};
-
-// Tunables, resolved once per scheduler from the environment.
-struct locality_config {
-  // Master switch (LCWS_LOCALITY_OFF truthy => false).
-  bool enabled = true;
-  // Worker pinning policy (LCWS_PIN=compact|scatter|off). Scatter is the
-  // default: one worker per physical core first, so a partially-filled
-  // pool keeps full per-core bandwidth; compact maximizes shared caches
-  // between neighbors and is what bench/locality measures.
-  pin_mode pin = pin_mode::scatter;
-
-  static locality_config from_env() noexcept {
-    locality_config c;
-    if (const char* s = std::getenv("LCWS_LOCALITY_OFF")) {
-      if (*s != '\0' && !(s[0] == '0' && s[1] == '\0')) c.enabled = false;
-    }
-    if (const char* s = std::getenv("LCWS_PIN")) {
-      const std::string_view v(s);
-      if (v == "compact") {
-        c.pin = pin_mode::compact;
-      } else if (v == "scatter") {
-        c.pin = pin_mode::scatter;
-      } else if (v == "off" || v == "0") {
-        c.pin = pin_mode::off;
-      }
-    }
-    return c;
-  }
-};
-
-inline bool locality_enabled(locality_mode mode,
-                             const locality_config& cfg) noexcept {
-  switch (mode) {
-    case locality_mode::disabled: return false;
-    case locality_mode::enabled: return true;
-    case locality_mode::env_default: break;
-  }
-  return cfg.enabled;
-}
-
-// ---- reproducible seeding (LCWS_SEED) --------------------------------------
-
-// Optional base seed for the per-worker xoshiro256 streams, so victim-
-// selection experiments are reproducible and sweepable. Unset => nullopt
-// and the historical fixed seed is used.
-inline std::optional<std::uint64_t> env_seed() noexcept {
-  const char* s = std::getenv("LCWS_SEED");
-  if (s == nullptr || *s == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 0);
-  if (end == s) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
-
-// Per-worker stream seed: golden-ratio stride over the user seed keeps the
-// streams decorrelated; without a user seed this is bit-identical to the
-// historical hash64(0x5eed5eed + worker).
-inline std::uint64_t worker_rng_seed(const std::optional<std::uint64_t>& user,
-                                     std::size_t worker) noexcept {
-  if (user.has_value()) {
-    return hash64(*user + 0x9e3779b97f4a7c15ULL * (worker + 1));
-  }
+// Per-worker victim-selection stream seed.
+inline std::uint64_t worker_rng_seed(std::size_t worker) noexcept {
   return hash64(0x5eed5eedULL + worker);
 }
 

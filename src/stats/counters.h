@@ -95,7 +95,7 @@ struct op_counters {
   //                        == sum(steals_by_tier)
   // holds for every kind: a wsmult steal whose claim exchange lost took
   // nothing and is never classified, and claims_lost is 0 elsewhere.
-  // With LCWS_LOCALITY_OFF all of these stay zero.
+  // With pool_config::locality off all of these stay zero.
   relaxed_counter steals_near;     // victim shared a cache (smt/core/llc)
   relaxed_counter steals_remote;   // victim across an LLC/socket/NUMA edge
   relaxed_counter steals_by_tier[kStealTierCount];  // indexed by

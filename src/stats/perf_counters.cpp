@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #ifdef __linux__
@@ -13,23 +12,6 @@
 #endif
 
 namespace lcws::stats {
-
-bool perf_env_enabled() noexcept {
-  const char* v = std::getenv("LCWS_PERF");
-  if (!v || !*v) return true;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0);
-}
-
-int perf_env_force_errno() noexcept {
-  const char* v = std::getenv("LCWS_PERF_FORCE_FAIL");
-  if (!v || !*v) return 0;
-  if (std::strcmp(v, "EACCES") == 0) return EACCES;
-  if (std::strcmp(v, "EPERM") == 0) return EPERM;
-  if (std::strcmp(v, "ENOENT") == 0) return ENOENT;
-  if (std::strcmp(v, "ENOSYS") == 0) return ENOSYS;
-  const int n = std::atoi(v);
-  return n > 0 ? n : EACCES;
-}
 
 const char* errno_name(int e) noexcept {
   switch (e) {

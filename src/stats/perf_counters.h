@@ -19,8 +19,8 @@
 // The task-clock event is software-only and usually survives even when
 // the PMU is denied; its validity is tracked separately.
 //
-// LCWS_PERF=0 disables the whole subsystem; LCWS_PERF_FORCE_FAIL=EACCES
-// (or ENOENT/EPERM) forces the failure path for tests.
+// LCWS_PERF=0 (pool_config::perf) disables the whole subsystem; the
+// perf_open fault-injection site forces the failure path for tests.
 
 #include <cstdint>
 #include <string>
@@ -71,12 +71,6 @@ class perf_group {
   int clock_fd_ = -1;   // task-clock software event
   int error_ = 0;
 };
-
-// False when LCWS_PERF is "0" or "off" (default: enabled).
-bool perf_env_enabled() noexcept;
-
-// Nonzero errno to force open() failures, from LCWS_PERF_FORCE_FAIL.
-int perf_env_force_errno() noexcept;
 
 // "EACCES", "ENOENT", ... or "errno-N" for names we don't know.
 const char* errno_name(int e) noexcept;

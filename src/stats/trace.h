@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -183,34 +182,21 @@ inline std::mutex& dump_mutex() {
   return m;
 }
 
-struct config {
-  std::string path;                 // empty => tracing disabled
-  std::size_t ring_capacity = 4096;
-
-  static config from_env() {
-    config c;
-    if (const char* p = std::getenv("LCWS_TRACE"); p && *p) c.path = p;
-    if (const char* r = std::getenv("LCWS_TRACE_RING"); r && *r) {
-      const long v = std::strtol(r, nullptr, 10);
-      if (v >= 8) c.ring_capacity = static_cast<std::size_t>(v);
-    }
-    return c;
-  }
-};
-
 // Owns one ring per worker and knows how to serialize them.  Created
 // disabled; the scheduler calls init() once it knows the worker count.
 class tracer {
  public:
   tracer() = default;
 
-  void init(std::size_t workers, config cfg) {
-    cfg_ = std::move(cfg);
+  // One ring of `ring_capacity` records per worker, written to `path`;
+  // an empty path leaves tracing off.
+  void init(std::size_t workers, std::string path, std::size_t ring_capacity) {
+    path_ = std::move(path);
     rings_.clear();
-    if (cfg_.path.empty()) return;
+    if (path_.empty()) return;
     rings_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i)
-      rings_.push_back(std::make_unique<ring>(cfg_.ring_capacity));
+      rings_.push_back(std::make_unique<ring>(ring_capacity));
   }
 
   bool enabled() const noexcept { return !rings_.empty(); }
@@ -229,11 +215,11 @@ class tracer {
   // ends.  Failure to open the path is reported once on stderr.
   void write_chrome_json(const char* scheduler_name) const noexcept {
     if (!enabled()) return;
-    std::FILE* f = std::fopen(cfg_.path.c_str(), "w");
+    std::FILE* f = std::fopen(path_.c_str(), "w");
     if (!f) {
       if (!warned_.exchange(true, std::memory_order_relaxed))
         std::fprintf(stderr, "lcws: LCWS_TRACE: cannot open %s\n",
-                     cfg_.path.c_str());
+                     path_.c_str());
       return;
     }
     std::vector<std::vector<ring::entry>> snaps(rings_.size());
@@ -253,7 +239,8 @@ class tracer {
     }
     std::fprintf(f, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{");
     std::fprintf(f, "\"scheduler\":\"%s\",\"ring_capacity\":%zu",
-                 scheduler_name ? scheduler_name : "?", cfg_.ring_capacity);
+                 scheduler_name ? scheduler_name : "?",
+                 rings_.front()->capacity());
     std::fprintf(f, ",\"dropped_events\":[");
     for (std::size_t w = 0; w < rings_.size(); ++w)
       std::fprintf(f, "%s%llu", w ? "," : "",
@@ -343,7 +330,7 @@ class tracer {
     }
   }
 
-  config cfg_;
+  std::string path_;
   std::vector<std::unique_ptr<ring>> rings_;
   mutable std::atomic<bool> warned_{false};
 };

@@ -42,6 +42,9 @@
 //                  advancement, widening the multiplicity window so
 //                  duplicate extractions (normally vanishingly rare)
 //                  actually happen and the claim words must resolve them
+//   perf_open      scheduler.h   register_worker: the worker's perf_event
+//                                group fails to open with EACCES, as in a
+//                                container that forbids the syscall
 #pragma once
 
 #include <cstdint>
@@ -56,6 +59,7 @@ enum class site : unsigned {
   spurious_wake,
   deque_grow,
   wsmult_dup,
+  perf_open,
   num_sites,  // sentinel
 };
 

@@ -31,9 +31,9 @@
 // instrumentation: the paper's figures profile the *work-stealing protocol*
 // (fences/CAS/steals/exposures), and parking must not perturb them. The
 // scheduler counts parks/wakes/idle-time through dedicated counters
-// instead, and the whole subsystem can be disabled at runtime
-// (LCWS_NO_PARKING=1 or a constructor knob) so the figure harnesses can
-// assert counter-faithfulness.
+// instead, and the whole subsystem can be disabled per pool
+// (pool_config::parking) so the tests and micro_idle can compare parked and
+// spinning runs.
 #pragma once
 
 #include <atomic>
@@ -41,7 +41,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -51,24 +50,6 @@
 #include "support/fault_injection.h"
 
 namespace lcws {
-
-// Runtime kill-switch plumbing: schedulers take a parking_mode knob whose
-// default defers to the LCWS_NO_PARKING environment variable.
-enum class parking_mode {
-  env_default,  // parked unless LCWS_NO_PARKING is set to something truthy
-  disabled,
-  enabled,
-};
-
-inline bool parking_enabled(parking_mode mode) noexcept {
-  switch (mode) {
-    case parking_mode::disabled: return false;
-    case parking_mode::enabled: return true;
-    case parking_mode::env_default: break;
-  }
-  const char* s = std::getenv("LCWS_NO_PARKING");
-  return s == nullptr || s[0] == '\0' || s[0] == '0';
-}
 
 class parking_lot {
  public:

@@ -136,6 +136,15 @@ const char* to_string(locality_tier tier) noexcept {
   return "?";
 }
 
+const char* to_string(pin_mode mode) noexcept {
+  switch (mode) {
+    case pin_mode::compact: return "compact";
+    case pin_mode::scatter: return "scatter";
+    case pin_mode::off: return "off";
+  }
+  return "?";
+}
+
 const cpu_topology::cpu_info* cpu_topology::find(int cpu) const noexcept {
   // cpus is sorted by id; binary search keeps classify() cheap.
   const auto it = std::lower_bound(

@@ -113,6 +113,8 @@ enum class pin_mode : unsigned char {
   off,      // no pinning: victim tables collapse to a single flat tier
 };
 
+const char* to_string(pin_mode mode) noexcept;
+
 // CPU ids in worker-assignment order for the given policy (worker i is
 // pinned to order[i % order.size()]). Empty when mode is `off` or the
 // topology has no CPUs.

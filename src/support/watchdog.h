@@ -33,7 +33,6 @@
 #include <cstdlib>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -110,17 +109,6 @@ class watchdog {
   // cancel_fn attached).
   std::uint64_t cancels_issued() const noexcept {
     return cancels_.load(std::memory_order_relaxed);
-  }
-
-  // Parses LCWS_WATCHDOG_MS: a positive integer enables the watchdog with
-  // that deadline; unset/zero/garbage disables it.
-  static std::optional<std::chrono::milliseconds> env_deadline() noexcept {
-    const char* s = std::getenv("LCWS_WATCHDOG_MS");
-    if (s == nullptr || *s == '\0') return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long ms = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || ms == 0) return std::nullopt;
-    return std::chrono::milliseconds(ms);
   }
 
  private:

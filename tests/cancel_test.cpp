@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -48,31 +47,6 @@ template <typename Sched>
     (void)(l + r);
   }
 }
-
-// setenv/unsetenv scope guard; the scheduler reads LCWS_* once at
-// construction, so guards must outlive the pool under test.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~scoped_env() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 class Cancel : public ::testing::TestWithParam<sched_kind> {};
 
@@ -133,10 +107,11 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(info.param));
     });
 
-// LCWS_RUN_TIMEOUT_MS: every plain run() carries the deadline.
+// pool_config::run_timeout (LCWS_RUN_TIMEOUT_MS): every plain run()
+// carries the deadline.
 TEST(CancelRun, EnvRunTimeoutAppliesToPlainRun) {
-  scoped_env timeout("LCWS_RUN_TIMEOUT_MS", "50");
-  ws_scheduler sched(4);
+  ws_scheduler sched(
+      4, pool_config{.run_timeout = std::chrono::milliseconds(50)});
   EXPECT_THROW(sched.run([&] { runaway(sched); }), run_cancelled_error);
   // A short run finishes before its deadline and is unaffected.
   EXPECT_EQ(sched.run([&] { return fib(sched, 16); }), 987u);
@@ -192,8 +167,8 @@ TEST(CancelRun, NestedRunForObeysOnlyTheOuterDeadline) {
 // cancels the run cooperatively instead of aborting. User code that polls
 // run_cancel_requested() gets to exit cleanly — the run *returns*.
 TEST(CancelRun, WatchdogFirstRungCancelsInsteadOfAborting) {
-  scoped_env dog("LCWS_WATCHDOG_MS", "200");
-  ws_scheduler sched(4);
+  ws_scheduler sched(4,
+                     pool_config{.watchdog = std::chrono::milliseconds(200)});
   sched.reset_counters();
   const std::uint64_t r = sched.run([&]() -> std::uint64_t {
     // Pure user-code spin: no scheduling, so the progress token freezes

@@ -32,7 +32,8 @@ class GrowthSweep : public ::testing::TestWithParam<sched_kind> {};
 
 TEST_P(GrowthSweep, DeepSpawnOutgrowsTinyCapacityAndCompletes) {
   const sched_kind kind = GetParam();
-  with_scheduler(kind, 4, tiny_capacity, [&](auto& sched) {
+  const pool_config cfg{.deque_capacity = tiny_capacity};
+  with_scheduler(kind, 4, cfg, [&](auto& sched) {
     sched.reset_counters();
     EXPECT_EQ(sched.run([&] { return deep_spine(sched, spine_depth); }),
               spine_depth + 1)

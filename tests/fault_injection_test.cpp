@@ -1,10 +1,10 @@
 // Deterministic fault-injection sweep: seeds x schedulers x armed fault
 // sites. This binary links the LCWS_FAULT_INJECTION build of the library,
 // so the fi:: hooks at the named sites (forced steal-CAS losses, dropped/
-// delayed exposure signals, failed pthread_kill, spurious park wakeups)
-// are live; every run must still complete with the correct result and
-// balanced stats counters — faults may cost performance, never progress
-// or correctness.
+// delayed exposure signals, failed pthread_kill, spurious park wakeups,
+// failed perf_event opens) are live; every run must still complete with
+// the correct result and balanced stats counters — faults may cost
+// performance, never progress or correctness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,31 +185,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(info.param));
     });
 
-// setenv/unsetenv scope guard; the scheduler reads its LCWS_* knobs once at
-// construction, so guards must outlive the pool under test.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~scoped_env() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
 // Directed test, one instance per signal-family kind: with pthread_kill
 // forced to fail 100% of the time, every exposure request takes Listing
 // 3's failure branch (the thief clears the victim's flag so a later thief
@@ -223,9 +198,9 @@ class FaultDirected : public ::testing::TestWithParam<sched_kind> {
 
 TEST_P(FaultDirected, SignalSendAlwaysFailsStillCompletes) {
   const sched_kind kind = GetParam();
-  scoped_env dog("LCWS_WATCHDOG_MS", "4000");
   fi::configure(7, /*rate_permille=*/1000, fi::site_bit(fi::site::signal_send));
-  with_scheduler(kind, 4, [&](auto& sched) {
+  const pool_config cfg{.watchdog = std::chrono::milliseconds(4000)};
+  with_scheduler(kind, 4, cfg, [&](auto& sched) {
     ASSERT_TRUE(sched.watchdog_active());
     sched.reset_counters();
     for (int iter = 0; iter < 8; ++iter) {
@@ -369,7 +344,8 @@ TEST_P(FaultSweep, DequeGrowthRacingThievesCompletesExactlyOnce) {
   for (int seed = 0; seed < seeds; ++seed) {
     fi::configure(static_cast<std::uint64_t>(seed) * 0x2545f491ULL + 3,
                   /*rate_permille=*/1000, fi::site_bit(fi::site::deque_grow));
-    with_scheduler(kind, 4, /*deque_capacity=*/64, [&](auto& sched) {
+    const pool_config cfg{.deque_capacity = 64};
+    with_scheduler(kind, 4, cfg, [&](auto& sched) {
       sched.reset_counters();
       const std::uint64_t v = sched.run([&] { return deep_spine(sched, 1200); });
       EXPECT_EQ(v, 1201u) << to_string(kind) << " seed " << seed;
@@ -409,9 +385,27 @@ TEST_P(FaultSweep, DequeGrowthRacingThievesCompletesExactlyOnce) {
 TEST(FaultDirected, SpuriousWakeupsEverywhereStillCompletes) {
   fi::configure(10, /*rate_permille=*/1000,
                 fi::site_bit(fi::site::spurious_wake));
-  ws_scheduler sched(4, default_deque_capacity, parking_mode::enabled);
+  ws_scheduler sched(4, pool_config{.parking = true});
   sched.reset_counters();
   EXPECT_EQ(sched.run([&] { return fib(sched, 17); }), 1597u);
+  fi::disable();
+}
+
+// Directed test: every worker's perf_event group fails to open with
+// EACCES. The profile's hardware block and the worker dump must both name
+// the failure, with zeros that never pose as measurements.
+TEST(FaultDirected, PerfOpenFailureFlowsIntoSchedulerProfile) {
+  fi::configure(11, /*rate_permille=*/1000,
+                fi::site_bit(fi::site::perf_open));
+  ws_scheduler sched(2, pool_config{.perf = true});
+  sched.run([&] { return fib(sched, 14); });
+  const auto hw = sched.profile().hw;
+  EXPECT_EQ(hw.status, "unavailable:EACCES");
+  EXPECT_FALSE(hw.available);
+  EXPECT_EQ(hw.cycles, 0u);
+  EXPECT_EQ(hw.cache_misses, 0u);
+  const std::string dump = sched.dump_worker_state();
+  EXPECT_NE(dump.find("err=EACCES"), std::string::npos);
   fi::disable();
 }
 

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -105,25 +104,10 @@ TEST(ParkingLot, TargetedUnparkPermitIsStickyAcrossAnnounce) {
   EXPECT_LT(sw.elapsed_seconds(), 1.0);
 }
 
-TEST(ParkingMode, KnobAndEnvironmentSemantics) {
-  EXPECT_FALSE(parking_enabled(parking_mode::disabled));
-  EXPECT_TRUE(parking_enabled(parking_mode::enabled));
-  // env_default defers to LCWS_NO_PARKING: unset / empty / "0" mean on.
-  unsetenv("LCWS_NO_PARKING");
-  EXPECT_TRUE(parking_enabled(parking_mode::env_default));
-  setenv("LCWS_NO_PARKING", "", 1);
-  EXPECT_TRUE(parking_enabled(parking_mode::env_default));
-  setenv("LCWS_NO_PARKING", "0", 1);
-  EXPECT_TRUE(parking_enabled(parking_mode::env_default));
-  setenv("LCWS_NO_PARKING", "1", 1);
-  EXPECT_FALSE(parking_enabled(parking_mode::env_default));
-  unsetenv("LCWS_NO_PARKING");
-}
-
 // ---- scheduler integration ------------------------------------------------
 
 TEST(Parking, SingleWorkerPoolNeverParks) {
-  ws_scheduler sched(1, default_deque_capacity, parking_mode::enabled);
+  ws_scheduler sched(1, pool_config{.parking = true});
   EXPECT_FALSE(sched.parking_active());
 }
 
@@ -134,8 +118,7 @@ TEST(Parking, EngagesWhenIdleAndKillSwitchIsInert) {
   for (const sched_kind kind : all_sched_kinds) {
     for (const bool on : {true, false}) {
       with_scheduler(
-          kind, 8, on ? parking_mode::enabled : parking_mode::disabled,
-          [&](auto& sched) {
+          kind, 8, pool_config{.parking = on}, [&](auto& sched) {
             EXPECT_EQ(sched.parking_active(), on) << to_string(kind);
             sched.reset_counters();
             sched.run([&] { spin_for_ns(50'000'000); });
@@ -163,9 +146,9 @@ TEST(Parking, EngagesWhenIdleAndKillSwitchIsInert) {
 // many — so it only pins the fence/steal/exposure columns.)
 TEST(ProfileEquivalence, SequentialWorkloadKeepsProtocolCountersZero) {
   for (const sched_kind kind : all_sched_kinds) {
-    for (const parking_mode mode :
-         {parking_mode::enabled, parking_mode::disabled}) {
-      with_scheduler(kind, 8, mode, [&](auto& sched) {
+    for (const bool parking : {true, false}) {
+      const pool_config cfg{.parking = parking};
+      with_scheduler(kind, 8, cfg, [&](auto& sched) {
         sched.reset_counters();
         sched.run([&] { spin_for_ns(10'000'000); });
         const auto t = sched.profile().totals;
@@ -203,9 +186,9 @@ TEST(ProfileEquivalence, SingleWorkerProfilesAreIdentical) {
   for (const sched_kind kind : all_sched_kinds) {
     stats::op_counters t[2];
     int i = 0;
-    for (const parking_mode mode :
-         {parking_mode::enabled, parking_mode::disabled}) {
-      with_scheduler(kind, 1, mode, [&](auto& sched) {
+    for (const bool parking : {true, false}) {
+      const pool_config cfg{.parking = parking};
+      with_scheduler(kind, 1, cfg, [&](auto& sched) {
         sched.reset_counters();
         sched.run([&] { (void)fib(sched, 22); });
         t[i] = sched.profile().totals;
@@ -241,9 +224,9 @@ TEST(ProfileEquivalence, WorkCountersMatchAcrossModesAtP4) {
     stats::op_counters t[2];
     std::uint64_t result[2];
     int i = 0;
-    for (const parking_mode mode :
-         {parking_mode::enabled, parking_mode::disabled}) {
-      with_scheduler(kind, 4, mode, [&](auto& sched) {
+    for (const bool parking : {true, false}) {
+      const pool_config cfg{.parking = parking};
+      with_scheduler(kind, 4, cfg, [&](auto& sched) {
         sched.reset_counters();
         result[i] = sched.run([&] { return fib(sched, 24); });
         t[i] = sched.profile().totals;
@@ -308,7 +291,7 @@ std::uint64_t random_tree_seq(std::uint64_t seed, std::uint64_t path,
 // after everyone quiesced mid-run) are exercised by the second loop.
 TEST(ParkingStress, RunQuiesceCyclesAcrossAllFamilies) {
   for (const sched_kind kind : all_sched_kinds) {
-    with_scheduler(kind, 8, parking_mode::enabled, [&](auto& sched) {
+    with_scheduler(kind, 8, pool_config{.parking = true}, [&](auto& sched) {
       for (std::uint64_t cycle = 0; cycle < 5; ++cycle) {
         const std::uint64_t seed = 900 + cycle;
         const std::uint64_t expected = random_tree_seq(seed, 0, 12);

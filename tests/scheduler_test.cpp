@@ -194,7 +194,7 @@ TYPED_TEST(SchedulerTest, ResetCountersZeroes) {
 
 TYPED_TEST(SchedulerTest, CustomDequeCapacity) {
   // A small capacity still runs a computation whose depth fits it.
-  TypeParam sched(2, /*deque_capacity=*/256);
+  TypeParam sched(2, pool_config{.deque_capacity = 256});
   const std::uint64_t result = sched.run([&] { return fib(sched, 20); });
   EXPECT_EQ(result, 6765u);
   EXPECT_EQ(sched.deque_of(0).capacity(), 256u);

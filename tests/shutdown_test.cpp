@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -98,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// LCWS_DUMP_ON_EXIT
+// pool_config::dump_on_exit (LCWS_DUMP_ON_EXIT)
 // ---------------------------------------------------------------------------
 
 std::string read_file(const std::string& path) {
@@ -112,12 +111,10 @@ TEST(DumpOnExit, WritesFinalStateToFile) {
   const std::string path =
       "/tmp/lcws_dump_" + std::to_string(::getpid()) + ".txt";
   std::remove(path.c_str());
-  ::setenv("LCWS_DUMP_ON_EXIT", path.c_str(), 1);
   {
-    signal_scheduler sched(2);
+    signal_scheduler sched(2, pool_config{.dump_on_exit = path});
     EXPECT_EQ(sched.run([&] { return fib(sched, 12); }), 144u);
   }  // destructor emits the dump
-  ::unsetenv("LCWS_DUMP_ON_EXIT");
   const std::string dump = read_file(path);
   EXPECT_NE(dump.find("scheduler=signal"), std::string::npos) << dump;
   EXPECT_NE(dump.find("w0"), std::string::npos);
@@ -130,16 +127,15 @@ TEST(DumpOnExit, AppendsAcrossInstances) {
   const std::string path =
       "/tmp/lcws_dump_append_" + std::to_string(::getpid()) + ".txt";
   std::remove(path.c_str());
-  ::setenv("LCWS_DUMP_ON_EXIT", path.c_str(), 1);
+  const pool_config cfg{.dump_on_exit = path};
   {
-    ws_scheduler a(2);
+    ws_scheduler a(2, cfg);
     EXPECT_EQ(a.run([&] { return fib(a, 10); }), 55u);
   }
   {
-    uslcws_scheduler b(2);
+    uslcws_scheduler b(2, cfg);
     EXPECT_EQ(b.run([&] { return fib(b, 10); }), 55u);
   }
-  ::unsetenv("LCWS_DUMP_ON_EXIT");
   const std::string dump = read_file(path);
   EXPECT_NE(dump.find("scheduler=ws"), std::string::npos) << dump;
   EXPECT_NE(dump.find("scheduler=uslcws"), std::string::npos) << dump;
@@ -151,11 +147,11 @@ TEST(DumpOnExit, OffByDefault) {
       "/tmp/lcws_dump_off_" + std::to_string(::getpid()) + ".txt";
   std::remove(path.c_str());
   {
-    ws_scheduler sched(2);
+    ws_scheduler sched(2, pool_config{});
     EXPECT_EQ(sched.run([&] { return fib(sched, 10); }), 55u);
   }
   std::ifstream in(path);
-  EXPECT_FALSE(in.good());  // no env knob, no file
+  EXPECT_FALSE(in.good());  // no dump_on_exit, no file
 }
 
 }  // namespace

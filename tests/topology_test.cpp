@@ -1,11 +1,10 @@
 // Tests for the locality layer: sysfs topology parsing against fixture
 // trees, tier classification, pin orders, victim tables, the two-level
-// victim selector's distribution, reproducible seeding (LCWS_SEED), and
-// the scheduler-level steal-placement counter identities.
+// victim selector's distribution, the per-worker RNG seeds, and the
+// scheduler-level steal-placement counter identities.
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -363,39 +362,19 @@ TEST(VictimSelector, WeightBiasesWithinTier) {
 }
 
 // ---------------------------------------------------------------------------
-// reproducible seeding (LCWS_SEED)
+// per-worker RNG seeding
 // ---------------------------------------------------------------------------
 
 TEST(Seeding, DefaultMatchesHistoricalSeeds) {
-  // Without LCWS_SEED the streams must be bit-identical to the historical
-  // per-worker seeding, so locality-off runs reproduce the legacy RNG.
+  // The per-worker streams are bit-identical to the historical seeding, so
+  // every run keeps its victim-selection RNG streams.
   for (std::size_t w = 0; w < 8; ++w) {
-    EXPECT_EQ(worker_rng_seed(std::nullopt, w), hash64(0x5eed5eedULL + w));
+    EXPECT_EQ(worker_rng_seed(w), hash64(0x5eed5eedULL + w));
   }
 }
 
-TEST(Seeding, UserSeedIsDeterministicAndDecorrelated) {
-  const auto a0 = worker_rng_seed(std::uint64_t{42}, 0);
-  EXPECT_EQ(a0, worker_rng_seed(std::uint64_t{42}, 0));
-  EXPECT_NE(a0, worker_rng_seed(std::uint64_t{42}, 1));
-  EXPECT_NE(a0, worker_rng_seed(std::uint64_t{43}, 0));
-  EXPECT_NE(a0, worker_rng_seed(std::nullopt, 0));
-}
-
-TEST(Seeding, EnvSeedParsesDecimalAndHex) {
-  ASSERT_EQ(unsetenv("LCWS_SEED"), 0);
-  EXPECT_FALSE(env_seed().has_value());
-  ASSERT_EQ(setenv("LCWS_SEED", "12345", 1), 0);
-  EXPECT_EQ(env_seed(), std::uint64_t{12345});
-  ASSERT_EQ(setenv("LCWS_SEED", "0xdeadbeef", 1), 0);
-  EXPECT_EQ(env_seed(), std::uint64_t{0xdeadbeef});
-  ASSERT_EQ(setenv("LCWS_SEED", "nonsense", 1), 0);
-  EXPECT_FALSE(env_seed().has_value());
-  ASSERT_EQ(unsetenv("LCWS_SEED"), 0);
-}
-
 // ---------------------------------------------------------------------------
-// scheduler integration: counter identities + kill switch
+// scheduler integration: counter identities + the locality switch
 // ---------------------------------------------------------------------------
 
 template <typename Sched>
@@ -410,8 +389,7 @@ void spin_tree(Sched& sched, int depth) {
 }
 
 TEST(SchedulerLocality, StealCountersSatisfyIdentity) {
-  ws_scheduler sched(4, default_deque_capacity, parking_mode::disabled,
-                     locality_mode::enabled);
+  ws_scheduler sched(4, pool_config{.parking = false, .locality = true});
   EXPECT_TRUE(sched.locality_active());
   sched.reset_counters();
   for (int rep = 0; rep < 4; ++rep) {
@@ -433,8 +411,7 @@ TEST(SchedulerLocality, StealCountersSatisfyIdentity) {
 }
 
 TEST(SchedulerLocality, DisabledKeepsLegacyCountersZero) {
-  ws_scheduler sched(4, default_deque_capacity, parking_mode::disabled,
-                     locality_mode::disabled);
+  ws_scheduler sched(4, pool_config{.parking = false, .locality = false});
   EXPECT_FALSE(sched.locality_active());
   EXPECT_EQ(sched.pinned_cpu_of(0), -1);
   sched.reset_counters();
@@ -448,27 +425,9 @@ TEST(SchedulerLocality, DisabledKeepsLegacyCountersZero) {
   }
 }
 
-TEST(SchedulerLocality, EnvKillSwitchRespected) {
-  ASSERT_EQ(setenv("LCWS_LOCALITY_OFF", "1", 1), 0);
-  EXPECT_FALSE(locality_config::from_env().enabled);
-  {
-    ws_scheduler sched(2, default_deque_capacity, parking_mode::disabled,
-                       locality_mode::env_default);
-    EXPECT_FALSE(sched.locality_active());
-  }
-  ASSERT_EQ(unsetenv("LCWS_LOCALITY_OFF"), 0);
-  EXPECT_TRUE(locality_config::from_env().enabled);
-  {
-    ws_scheduler sched(2, default_deque_capacity, parking_mode::disabled,
-                       locality_mode::env_default);
-    EXPECT_TRUE(sched.locality_active());
-  }
-}
-
 TEST(SchedulerLocality, SingleWorkerNeverActivates) {
   // Locality machinery is pointless with no victims; P=1 must not pin.
-  ws_scheduler sched(1, default_deque_capacity, parking_mode::disabled,
-                     locality_mode::enabled);
+  ws_scheduler sched(1, pool_config{.parking = false, .locality = true});
   EXPECT_FALSE(sched.locality_active());
   const int got = sched.run([&] { return 17; });
   EXPECT_EQ(got, 17);

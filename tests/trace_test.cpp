@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -96,14 +95,6 @@ std::uint64_t tree_sum(Sched& sched, std::size_t depth) {
   return l + r;
 }
 
-struct env_guard {
-  env_guard(const char* name, const std::string& value) : name_(name) {
-    setenv(name, value.c_str(), 1);
-  }
-  ~env_guard() { unsetenv(name_); }
-  const char* name_;
-};
-
 // ---- ring unit tests -------------------------------------------------------
 
 TEST(TraceRing, CapacityRoundsToPowerOfTwo) {
@@ -170,14 +161,14 @@ TEST(TraceRing, EmitIsNoopWithoutLocalRing) {
 
 // ---- zero cost when off ----------------------------------------------------
 
-// With LCWS_TRACE unset vs set, a deterministic P=1 run must produce
+// With tracing off vs on, a deterministic P=1 run must produce
 // bit-identical op counters: the tracer writes only to its own rings and
 // never touches the paper's fence/CAS/steal accounting.
 TEST(TraceZeroCost, CountersBitIdenticalTraceOnVsOff) {
   const auto run_once = [](bool traced) {
-    std::optional<env_guard> guard;
-    if (traced) guard.emplace("LCWS_TRACE", tmp_path("zerocost"));
-    ws_scheduler sched(1);
+    pool_config cfg;
+    if (traced) cfg.trace = tmp_path("zerocost");
+    ws_scheduler sched(1, cfg);
     sched.run([&] { tree_sum(sched, 10); });
     return sched.profile().totals;
   };
@@ -205,9 +196,8 @@ TEST(TraceSmoke, All8SchedulersEmitParseableChromeJson) {
     std::uint64_t emitted_max = 0;
     std::size_t ring_capacity = 0;
     {
-      env_guard trace_guard("LCWS_TRACE", path);
-      env_guard ring_guard("LCWS_TRACE_RING", "65536");
-      with_scheduler(kind, 4, [&](auto& sched) {
+      const pool_config cfg{.trace = path, .trace_ring = 65536};
+      with_scheduler(kind, 4, cfg, [&](auto& sched) {
         sched.run([&] { tree_sum(sched, 9); });
         prof = sched.profile();
         ASSERT_TRUE(sched.tracer().enabled());
@@ -269,10 +259,9 @@ TEST(TraceSmoke, StealAttemptsReconcileForDequeFamilies) {
     std::remove(dump_path.c_str());  // the dump appends
     bool dropped_any = false;
     {
-      env_guard trace_guard("LCWS_TRACE", path);
-      env_guard ring_guard("LCWS_TRACE_RING", "65536");
-      env_guard dump_guard("LCWS_DUMP_ON_EXIT", dump_path);
-      with_scheduler(kind, 4, [&](auto& sched) {
+      const pool_config cfg{
+          .dump_on_exit = dump_path, .trace = path, .trace_ring = 65536};
+      with_scheduler(kind, 4, cfg, [&](auto& sched) {
         sched.run([&] { tree_sum(sched, 9); });
         for (std::size_t w = 0; w < sched.num_workers(); ++w) {
           dropped_any |= sched.tracer().worker_ring(w)->dropped() != 0;
@@ -304,8 +293,7 @@ TEST(TraceSmoke, StealAttemptsReconcileForDequeFamilies) {
 
 TEST(TraceSmoke, TraceTailAppearsInWorkerDump) {
   const std::string path = tmp_path("dump");
-  env_guard trace_guard("LCWS_TRACE", path);
-  ws_scheduler sched(2);
+  ws_scheduler sched(2, pool_config{.trace = path});
   sched.run([&] { tree_sum(sched, 6); });
   const std::string dump = sched.dump_worker_state();
   EXPECT_NE(dump.find("trace tail"), std::string::npos);
@@ -327,9 +315,7 @@ TEST(TraceSummary, PythonSummaryValidates) {
 #else
   const std::string path = tmp_path("summary");
   {
-    env_guard trace_guard("LCWS_TRACE", path);
-    env_guard ring_guard("LCWS_TRACE_RING", "65536");
-    uslcws_scheduler sched(4);
+    uslcws_scheduler sched(4, pool_config{.trace = path, .trace_ring = 65536});
     sched.run([&] { tree_sum(sched, 9); });
   }
   const std::string script =
@@ -359,25 +345,8 @@ TEST(PerfCounters, ForcedENOENTReportsCleanUnavailableMarker) {
   EXPECT_EQ(g.status(), "unavailable:ENOENT");
 }
 
-TEST(PerfCounters, EnvForceFailFlowsIntoSchedulerProfile) {
-  env_guard guard("LCWS_PERF_FORCE_FAIL", "EACCES");
-  ws_scheduler sched(2);
-  sched.run([&] { tree_sum(sched, 6); });
-  const auto hw = sched.profile().hw;
-  // The marker names the failure; the numeric fields must be zeros (a
-  // clean "unavailable", never zeros masquerading as measurements).
-  EXPECT_EQ(hw.status, "unavailable:EACCES");
-  EXPECT_FALSE(hw.available);
-  EXPECT_EQ(hw.cycles, 0u);
-  EXPECT_EQ(hw.cache_misses, 0u);
-  // And the worker dump carries the same verdict.
-  const std::string dump = sched.dump_worker_state();
-  EXPECT_NE(dump.find("err=EACCES"), std::string::npos);
-}
-
 TEST(PerfCounters, LcwsPerfOffDisablesSampling) {
-  env_guard guard("LCWS_PERF", "0");
-  ws_scheduler sched(2);
+  ws_scheduler sched(2, pool_config{.perf = false});
   sched.run([&] { tree_sum(sched, 6); });
   const auto hw = sched.profile().hw;
   EXPECT_EQ(hw.status, "unavailable:off");

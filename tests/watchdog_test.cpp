@@ -1,12 +1,12 @@
 // Stall-watchdog semantics: fires on a frozen progress token, stays quiet
 // while progress happens or while disarmed, and integrates with the
-// scheduler via LCWS_WATCHDOG_MS without false positives on healthy runs.
+// scheduler via pool_config::watchdog (LCWS_WATCHDOG_MS) without false
+// positives on healthy runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -86,19 +86,6 @@ TEST(Watchdog, DisarmStopsAnInFlightWindow) {
   EXPECT_EQ(stalls.load(), 0);
 }
 
-TEST(Watchdog, EnvDeadlineParsing) {
-  ASSERT_EQ(setenv("LCWS_WATCHDOG_MS", "250", 1), 0);
-  auto d = watchdog::env_deadline();
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, 250ms);
-  ASSERT_EQ(setenv("LCWS_WATCHDOG_MS", "0", 1), 0);
-  EXPECT_FALSE(watchdog::env_deadline().has_value());
-  ASSERT_EQ(setenv("LCWS_WATCHDOG_MS", "garbage", 1), 0);
-  EXPECT_FALSE(watchdog::env_deadline().has_value());
-  ASSERT_EQ(unsetenv("LCWS_WATCHDOG_MS"), 0);
-  EXPECT_FALSE(watchdog::env_deadline().has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler integration
 // ---------------------------------------------------------------------------
@@ -122,8 +109,7 @@ std::uint64_t fib(Sched& sched, unsigned n) {
 }
 
 TEST(SchedulerWatchdog, DisabledByDefault) {
-  ASSERT_EQ(unsetenv("LCWS_WATCHDOG_MS"), 0);
-  ws_scheduler sched(2);
+  ws_scheduler sched(2, pool_config{});
   EXPECT_FALSE(sched.watchdog_active());
 }
 
@@ -131,16 +117,12 @@ TEST(SchedulerWatchdog, DisabledByDefault) {
 // stall handler aborts the process, so a false positive fails this test
 // loudly.
 TEST(SchedulerWatchdog, HealthyRunDoesNotTrip) {
-  ASSERT_EQ(setenv("LCWS_WATCHDOG_MS", "2000", 1), 0);
-  {
-    ws_scheduler sched(4);
-    EXPECT_TRUE(sched.watchdog_active());
-    EXPECT_EQ(sched.run([&] { return fib(sched, 24); }), 46368u);
-    // Idle (disarmed) time must not accumulate toward a stall either.
-    std::this_thread::sleep_for(100ms);
-    EXPECT_EQ(sched.run([&] { return fib(sched, 22); }), 17711u);
-  }
-  ASSERT_EQ(unsetenv("LCWS_WATCHDOG_MS"), 0);
+  ws_scheduler sched(4, pool_config{.watchdog = 2000ms});
+  EXPECT_TRUE(sched.watchdog_active());
+  EXPECT_EQ(sched.run([&] { return fib(sched, 24); }), 46368u);
+  // Idle (disarmed) time must not accumulate toward a stall either.
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(sched.run([&] { return fib(sched, 22); }), 17711u);
 }
 
 TEST(SchedulerWatchdog, ProgressTokenAdvancesAcrossRuns) {
