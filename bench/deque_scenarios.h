@@ -8,10 +8,10 @@
 // load-independent, so they can be compared bit for bit: growth must add
 // zero fences and zero CAS, the split deque's private fill+drain must stay
 // at exactly zero of both, and the wsmult deque must report zero fences
-// and zero CAS on both scenarios.
+// and zero CAS on both scenarios. Cells carry no wall time: deque timing
+// is the repository benchmark's deque.* probes (benchmark/README.md).
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <vector>
 
@@ -29,22 +29,18 @@ struct cell {
   const char* scenario;
   const char* deque;
   const char* mode;  // "prealloc" | "grow"
-  double seconds = 0;
   stats::op_counters delta;
 };
 
 // Runs `body` from zeroed counters on this thread (so the high-water mark
-// is the cell's own) and reports its counter delta and wall time.
+// is the cell's own) and reports its counter delta.
 template <typename Body>
 cell measure(const char* scenario, const char* deque, const char* mode,
              Body&& body) {
-  cell c{scenario, deque, mode, 0, {}};
+  cell c{scenario, deque, mode, {}};
   stats::local_counters() = stats::op_counters{};
-  const auto t0 = std::chrono::steady_clock::now();
   body();
-  const auto t1 = std::chrono::steady_clock::now();
   c.delta = stats::local_counters();
-  c.seconds = std::chrono::duration<double>(t1 - t0).count();
   return c;
 }
 

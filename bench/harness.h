@@ -11,18 +11,13 @@
 //   LCWS_BENCH_ROUNDS  timed repetitions per configuration (default 3)
 //   LCWS_BENCH_PROCS   comma list of worker counts (default "1,2,4,8")
 //   LCWS_BENCH_MAXCFG  cap on the number of benchmark configs (default all)
-//   LCWS_BENCH_CSV     file path: append one CSV row per measured cell
-//                      (benchmark,instance,procs,scheduler,seconds,fences,
-//                      cas,steals,steal_attempts,exposures,unexposures,
-//                      signals,parks,wakes,idle_ns,steals_near,
-//                      steals_remote,hw,cycles,instructions,cache_refs,
-//                      cache_misses,task_clock_ns) for offline plotting.
-//                      `hw` is the perf_counters availability marker
-//                      ("available", "partial:...", "unavailable:..."); the
-//                      numeric hw fields are 0 unless it says otherwise
 //   LCWS_BENCH_JSON    file path: append one JSON object per measured cell
-//                      (JSON Lines; same fields as the CSV, named) for
-//                      offline plotting without a CSV header convention
+//                      (JSON Lines: benchmark, instance, procs, scheduler,
+//                      seconds, the profile counters, and the hw fields)
+//                      for offline plotting. `hw` is the perf_counters
+//                      availability marker ("available", "partial:...",
+//                      "unavailable:..."); the numeric hw fields are 0
+//                      unless it says otherwise
 #pragma once
 
 #include <algorithm>
@@ -43,12 +38,13 @@ namespace lcws::benchh {
 
 // ---- environment -----------------------------------------------------------
 
-// A scale that is not a positive number (0, negative, garbage) keeps
-// `fallback`: default_size() casts the scaled size to std::size_t.
+// A scale that is not a finite positive number (0, negative, inf, nan,
+// garbage) keeps `fallback`: default_size() casts the scaled size to
+// std::size_t.
 inline double env_scale(double fallback = 0.05) {
   if (const char* s = std::getenv("LCWS_BENCH_SCALE")) {
     const double v = std::atof(s);
-    if (v > 0) return v;
+    if (v > 0 && std::isfinite(v)) return v;
   }
   return fallback;
 }
@@ -137,49 +133,8 @@ struct cell {
   pbbs::run_result result;
 };
 
-// Appends measured cells as CSV rows when LCWS_BENCH_CSV is set.
-inline void maybe_write_csv(const std::vector<cell>& cells) {
-  const char* path = std::getenv("LCWS_BENCH_CSV");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "LCWS_BENCH_CSV: cannot open %s\n", path);
-    return;
-  }
-  for (const auto& c : cells) {
-    const auto& t = c.result.profile.totals;
-    const auto& hw = c.result.profile.hw;
-    std::fprintf(
-        f,
-        "%s,%s,%zu,%s,%.9f,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu,%llu,%s,%llu,%llu,%llu,%llu,%llu\n",
-        c.cfg.benchmark.c_str(), c.cfg.instance.c_str(), c.procs,
-        to_string(c.kind), c.result.seconds,
-        static_cast<unsigned long long>(t.fences),
-        static_cast<unsigned long long>(t.cas),
-        static_cast<unsigned long long>(t.steals),
-        static_cast<unsigned long long>(t.steal_attempts),
-        static_cast<unsigned long long>(t.exposures),
-        static_cast<unsigned long long>(t.unexposures),
-        static_cast<unsigned long long>(t.signals_sent),
-        static_cast<unsigned long long>(t.parks),
-        static_cast<unsigned long long>(t.wakes),
-        static_cast<unsigned long long>(t.idle_ns),
-        static_cast<unsigned long long>(t.steals_near),
-        static_cast<unsigned long long>(t.steals_remote),
-        hw.status.c_str(),
-        static_cast<unsigned long long>(hw.cycles),
-        static_cast<unsigned long long>(hw.instructions),
-        static_cast<unsigned long long>(hw.cache_references),
-        static_cast<unsigned long long>(hw.cache_misses),
-        static_cast<unsigned long long>(hw.task_clock_ns));
-  }
-  std::fclose(f);
-}
-
-// Appends measured cells as JSON Lines when LCWS_BENCH_JSON is set — the
-// same fields as the CSV, but named, so downstream tooling needs no header
-// convention. Benchmark/instance/scheduler names are identifier-like
+// Appends measured cells as JSON Lines when LCWS_BENCH_JSON is set.
+// Benchmark/instance/scheduler names are identifier-like
 // ([A-Za-z0-9_.-]), so plain %s interpolation cannot break the JSON.
 inline void maybe_write_json(const std::vector<cell>& cells) {
   const char* path = std::getenv("LCWS_BENCH_JSON");
@@ -257,7 +212,6 @@ inline std::vector<cell> sweep(const std::vector<sched_kind>& kinds,
       }
     }
   }
-  maybe_write_csv(cells);
   maybe_write_json(cells);
   return cells;
 }

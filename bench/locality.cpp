@@ -14,21 +14,18 @@
 //
 // Both kernels report wall seconds plus the steal-placement counters:
 // steals_near / steals_remote (near = SMT, core, or LLC tier) and the
-// near fraction, and claims_lost: a wsmult "steal" whose claim exchange
-// lost is counted in steals but never classified (0 for the other
-// kinds), so near + remote == steals - claims_lost. On hosts whose
-// topology collapses to one tier — one socket, no SMT, or a 1-CPU
-// container — "near" and "remote" merge and the near fraction is
-// reported but not meaningful; scripts/perf_gate.py applies the same
-// caveat.
-//
-// Output: a human table plus, when LCWS_BENCH_JSON is set, one JSON object
-// per (kernel, kind, locality) cell with the raw numbers (used to produce
-// BENCH_locality.json).
+// near fraction. A wsmult "steal" whose claim exchange lost is counted in
+// steals but never classified, so for wsmult near + remote can fall short
+// of steals. On hosts whose topology collapses to one tier — one socket,
+// no SMT, or a 1-CPU container — "near" and "remote" merge and the near
+// fraction is reported but not meaningful. The counter identities are
+// tier-1 tests (tests/topology_test.cpp, SchedulerLocality.*).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,7 +51,6 @@ struct measurement {
   std::uint64_t steals = 0;
   std::uint64_t steals_near = 0;
   std::uint64_t steals_remote = 0;
-  std::uint64_t claims_lost = 0;
   double near_fraction = 0;
 };
 
@@ -82,30 +78,9 @@ measurement measure(sched_kind kind, bool locality, int rounds,
     m.steals = t.steals;
     m.steals_near = t.steals_near;
     m.steals_remote = t.steals_remote;
-    m.claims_lost = t.claims_lost;
     m.near_fraction = sched.profile().near_steal_fraction();
   });
   return m;
-}
-
-void maybe_append_json(const char* kernel, sched_kind kind, const char* mode,
-                       const measurement& m) {
-  const char* path = std::getenv("LCWS_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(
-      f,
-      "{\"benchmark\":\"locality_%s\",\"scheduler\":\"%s\","
-      "\"locality\":\"%s\",\"procs\":%zu,\"seconds\":%.9f,"
-      "\"steals\":%llu,\"steals_near\":%llu,\"steals_remote\":%llu,"
-      "\"claims_lost\":%llu,\"near_fraction\":%.6f}\n",
-      kernel, to_string(kind), mode, kWorkers, m.seconds,
-      static_cast<unsigned long long>(m.steals),
-      static_cast<unsigned long long>(m.steals_near),
-      static_cast<unsigned long long>(m.steals_remote),
-      static_cast<unsigned long long>(m.claims_lost), m.near_fraction);
-  std::fclose(f);
 }
 
 void print_row(const char* kernel, sched_kind kind, const char* mode,
@@ -125,9 +100,17 @@ void run_kernel(const char* name, int rounds, Kernel&& kernel) {
     const measurement off = measure(kind, false, rounds, kernel);
     print_row(name, kind, "on", on);
     print_row(name, kind, "off", off);
-    maybe_append_json(name, kind, "on", on);
-    maybe_append_json(name, kind, "off", off);
   }
+}
+
+// base x scale, at least 1000. As in pbbs::default_size(), a product too
+// large for std::size_t is refused rather than cast.
+std::size_t scaled_size(std::size_t base, double scale) {
+  const double n = static_cast<double>(base) * scale;
+  if (!(n < static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument("LCWS_BENCH_SCALE out of range");
+  }
+  return std::max<std::size_t>(1000, static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -135,12 +118,8 @@ void run_kernel(const char* name, int rounds, Kernel&& kernel) {
 int main() {
   const double scale = benchh::env_scale(1.0);
   const int rounds = benchh::env_rounds();
-  const std::size_t sort_n =
-      std::max<std::size_t>(1000, static_cast<std::size_t>(
-                                      static_cast<double>(kSortBase) * scale));
-  const std::size_t hist_n =
-      std::max<std::size_t>(1000, static_cast<std::size_t>(
-                                      static_cast<double>(kHistBase) * scale));
+  const std::size_t sort_n = scaled_size(kSortBase, scale);
+  const std::size_t hist_n = scaled_size(kHistBase, scale);
 
   const auto topo = probe_topology();
   std::printf("== locality: NUMA-hierarchical victim selection ==\n");

@@ -10,10 +10,9 @@
 //   LCWS_BENCH_JSON=f   deterministic structural pass (used to produce
 //                       BENCH_deque.json): runs the scripted scenarios of
 //                       deque_scenarios.h and appends each cell's exact
-//                       fence/CAS/grow/high-water-mark counts and wall time
-//                       as JSON Lines. deque_test's DequeStructural suite
-//                       checks the counts against the committed file;
-//                       scripts/perf_gate.py compares the timings.
+//                       fence/CAS/grow/high-water-mark counts as JSON
+//                       Lines. deque_test's DequeStructural suite checks
+//                       the counts against the committed file.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -168,28 +167,26 @@ int run_structural(const char* path) {
     return 1;
   }
   using lcws::deque_scenarios::kOps;
-  std::printf("%-12s %-10s %-9s %10s %10s %10s %6s %8s %10s\n", "scenario",
-              "deque", "mode", "ops", "fences", "cas", "grows", "hwm",
-              "seconds");
+  std::printf("%-12s %-10s %-9s %10s %10s %10s %6s %8s\n", "scenario",
+              "deque", "mode", "ops", "fences", "cas", "grows", "hwm");
   for (const auto& c : lcws::deque_scenarios::run_all()) {
     const auto& t = c.delta;
-    std::printf("%-12s %-10s %-9s %10d %10llu %10llu %6llu %8llu %10.4f\n",
+    std::printf("%-12s %-10s %-9s %10d %10llu %10llu %6llu %8llu\n",
                 c.scenario, c.deque, c.mode, kOps,
                 static_cast<unsigned long long>(t.fences.get()),
                 static_cast<unsigned long long>(t.cas.get()),
                 static_cast<unsigned long long>(t.deque_grows.get()),
-                static_cast<unsigned long long>(t.deque_hwm.get()),
-                c.seconds);
+                static_cast<unsigned long long>(t.deque_hwm.get()));
     std::fprintf(
         f,
         "{\"benchmark\":\"micro_deque\",\"scenario\":\"%s\",\"deque\":\"%s\","
         "\"mode\":\"%s\",\"ops\":%d,\"fences\":%llu,\"cas\":%llu,"
-        "\"grows\":%llu,\"hwm\":%llu,\"seconds\":%.6f}\n",
+        "\"grows\":%llu,\"hwm\":%llu}\n",
         c.scenario, c.deque, c.mode, kOps,
         static_cast<unsigned long long>(t.fences.get()),
         static_cast<unsigned long long>(t.cas.get()),
         static_cast<unsigned long long>(t.deque_grows.get()),
-        static_cast<unsigned long long>(t.deque_hwm.get()), c.seconds);
+        static_cast<unsigned long long>(t.deque_hwm.get()));
   }
   std::fclose(f);
   return 0;

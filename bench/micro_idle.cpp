@@ -18,16 +18,15 @@
 //              come back: the makespan includes wake latency. Reported as
 //              the median of kBurstReps bursts.
 //
-// Output: a human table plus, when LCWS_BENCH_JSON is set, one JSON object
-// per (kind, parking) cell with the raw numbers (used to produce
-// BENCH_idle.json).
+// Output: a human table. Parking's structural contract (parks only when
+// on, less idle CPU than spinning, per kind) is the tier-1 test
+// Parking.EngagesWhenIdleAndKillSwitchIsInert (tests/parking_test.cpp),
+// which measures the idle-CPU phase the same way.
 #include <time.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "sched/dispatch.h"
@@ -75,7 +74,6 @@ struct measurement {
   double burst_med_s = 0;  // median post-quiesce burst makespan
   std::uint64_t parks = 0;
   std::uint64_t wakes = 0;
-  std::uint64_t idle_ns = 0;
 };
 
 measurement measure(sched_kind kind, bool parking) {
@@ -108,27 +106,8 @@ measurement measure(sched_kind kind, bool parking) {
     const auto t = sched.profile().totals;
     m.parks = t.parks;
     m.wakes = t.wakes;
-    m.idle_ns = t.idle_ns;
   });
   return m;
-}
-
-void maybe_append_json(sched_kind kind, const char* mode,
-                       const measurement& m) {
-  const char* path = std::getenv("LCWS_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fprintf(
-      f,
-      "{\"benchmark\":\"micro_idle\",\"scheduler\":\"%s\",\"parking\":\"%s\","
-      "\"procs\":%zu,\"idle_cpu_s\":%.6f,\"burst_median_s\":%.6f,"
-      "\"parks\":%llu,\"wakes\":%llu,\"idle_ns\":%llu}\n",
-      to_string(kind), mode, kWorkers, m.idle_cpu_s, m.burst_med_s,
-      static_cast<unsigned long long>(m.parks),
-      static_cast<unsigned long long>(m.wakes),
-      static_cast<unsigned long long>(m.idle_ns));
-  std::fclose(f);
 }
 
 }  // namespace
@@ -158,8 +137,6 @@ int main() {
       std::printf("%-16s idle-cpu reduction: %.1f%%\n", "",
                   100.0 * (1.0 - on.idle_cpu_s / off.idle_cpu_s));
     }
-    maybe_append_json(kind, "on", on);
-    maybe_append_json(kind, "off", off);
   }
   return 0;
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build and run the full test suite under both presets
-# (release and ThreadSanitizer), then an AddressSanitizer+UBSan pass over
-# the hardening suites (exception propagation, fault injection, watchdog,
+# (release and ThreadSanitizer), a traced micro_idle run validated by
+# trace_summary.py --check, then an AddressSanitizer+UBSan pass over the
+# hardening suites (exception propagation, fault injection, watchdog,
 # cancellation, shutdown/quiescence, deque growth and reclamation) where
-# memory errors would hide behind rare interleavings.
+# memory errors would hide behind rare interleavings. The structural
+# counter checks are ctest tests; speed is judged by benchmark/run.sh.
 #
 # Slow stress sweeps carry the `stress` ctest label; pass LCWS_QUICK=1 to
 # exclude them (`ctest -LE stress`) for a fast local iteration loop, and
@@ -37,26 +39,6 @@ for preset in default tsan; do
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}" -j "${jobs}" "${label_filter[@]}" "$@"
 done
-
-# Perf gate: release microbenches (micro_idle, locality, micro_deque, and
-# the fig3/fig8 profiles) against the committed BENCH_*.json baselines.
-# Structural invariants are strict; timing gates carry a generous noise
-# margin and skip on tiny hosts. micro_deque's counts (the growable
-# deques' zero-added-fence/CAS proof and the wsmult deque's 0-fence/0-CAS
-# take+steal) are checked in tier-1 by deque_test's DequeStructural suite.
-echo "== perf gate (release benches vs committed baselines) =="
-missing_baselines=()
-for b in BENCH_idle.json BENCH_locality.json BENCH_deque.json \
-         BENCH_fig3.json BENCH_fig8.json; do
-  [[ -f "$b" ]] || missing_baselines+=("$b")
-done
-if (( ${#missing_baselines[@]} )); then
-  echo "error: committed perf baselines missing: ${missing_baselines[*]}" >&2
-  echo "  Regenerate with LCWS_BENCH_JSON=<file> build/bench/<bench> and" >&2
-  echo "  commit the result; perf_gate.py diffs current runs against them." >&2
-  exit 1
-fi
-python3 scripts/perf_gate.py --build-dir build
 
 # Tracing smoke: run a real bench with LCWS_TRACE set and semantically
 # validate the emitted Chrome trace (ordering, B/E balance, steal pairing)

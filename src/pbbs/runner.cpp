@@ -1,6 +1,8 @@
 #include "pbbs/runner.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -199,9 +201,14 @@ std::size_t default_size(std::string_view benchmark, double scale) {
   } else if (benchmark == "classify") {
     base = 100000;
   }
-  const auto scaled = static_cast<std::size_t>(
-      static_cast<double>(base) * scale);
-  return std::max<std::size_t>(scaled, 1024);
+  // The cast to std::size_t is undefined for a non-finite, negative or
+  // too-large product, so such a scale is refused like an unknown name.
+  const double scaled = static_cast<double>(base) * scale;
+  if (!(scale > 0) || !std::isfinite(scaled) ||
+      scaled >= static_cast<double>(std::numeric_limits<std::size_t>::max())) {
+    throw std::invalid_argument("input scale out of range");
+  }
+  return std::max<std::size_t>(static_cast<std::size_t>(scaled), 1024);
 }
 
 run_result run_config(sched_kind kind, std::size_t workers,

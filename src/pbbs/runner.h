@@ -41,6 +41,8 @@ std::vector<std::string> all_benchmarks();
 
 // Default input size for a benchmark, scaled by `scale` (1.0 = default).
 // Chosen so a single run takes fractions of a second on a laptop core.
+// Throws std::invalid_argument unless `scale` is finite and positive and
+// the scaled size fits in std::size_t.
 std::size_t default_size(std::string_view benchmark, double scale = 1.0);
 
 // Runs one configuration: builds (or reuses) the input, executes `rounds`

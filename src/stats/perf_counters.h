@@ -9,10 +9,10 @@
 // for multiplexing.  Reads happen only at cold boundaries (worker
 // start/stop, park entry, run exit) -- never per task or per steal.
 //
-// Availability is tiered, and unavailability is first-class: the
-// committed perf-gate baselines were produced in a container where
-// perf_event_paranoid forbids the syscall entirely, so every consumer
-// must handle status() != "available" without treating zeros as data.
+// Availability is tiered, and unavailability is first-class: many
+// containers set perf_event_paranoid to refuse the syscall outright, so
+// every consumer must handle status() != "available" without treating
+// zeros as data (Integration.FigureMatrixFencesAndHwMarkers checks it).
 //   1. full group (cycles, instructions, cache refs, cache misses)
 //   2. cycles + instructions only ("partial:no-cache-counters")
 //   3. nothing ("unavailable:<errno name>")

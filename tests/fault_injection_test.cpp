@@ -283,8 +283,8 @@ TEST(FaultDirected, WsmultDuplicateExtractionResolvedByClaims) {
 // wsmult_dup site at 100% a winning pop_top never advances top, so the
 // very next pop_top re-extracts the same index and must lose the slot
 // claim — every duplicate is scripted, so the counters are exact. Also
-// pins the headline property the perf gate enforces structurally: the
-// whole sequence runs zero fences and zero CAS.
+// pins the headline property DequeStructural.* checks on micro_deque's
+// scripts: the whole sequence runs zero fences and zero CAS.
 TEST(FaultDirected, WsmultClaimBitPreservesStealIdentity) {
   fi::configure(13, /*rate_permille=*/1000,
                 fi::site_bit(fi::site::wsmult_dup));

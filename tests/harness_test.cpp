@@ -62,8 +62,9 @@ TEST(HarnessEnv, ProcsParsing) {
 TEST(HarnessEnv, ScaleAndRounds) {
   setenv("LCWS_BENCH_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(env_scale(), 0.5);
-  // Not a positive number: the fallback, never a negative or zero scale.
-  for (const char* bad : {"-1", "0", "garbage"}) {
+  // Not a finite positive number: the fallback, never a negative, zero or
+  // non-finite scale.
+  for (const char* bad : {"-1", "0", "garbage", "inf", "nan", "1e400"}) {
     setenv("LCWS_BENCH_SCALE", bad, 1);
     EXPECT_DOUBLE_EQ(env_scale(), 0.05) << bad;
     EXPECT_DOUBLE_EQ(env_scale(1.0), 1.0) << bad;

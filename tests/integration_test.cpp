@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -152,6 +153,55 @@ TEST(Integration, RunnerProfilesMatchFamilyContracts) {
   EXPECT_LT(us.profile.totals.fences * 5, ws.profile.totals.fences);
   EXPECT_LT(sig.profile.totals.fences * 5, ws.profile.totals.fences);
   pbbs::clear_input_cache();
+}
+
+// The fig3/fig8 matrix pinned small (first 4 configs at scale 0.01, one
+// round, P in {2, 4}): wherever ws ran at least 40 fences, uslcws and
+// signal run strictly fewer (the paper's headline, Figs 3a and 8a); and
+// every cell's perf_counters marker agrees with its numbers -- real cycles
+// behind "available", hard zeros behind "unavailable:".
+TEST(Integration, FigureMatrixFencesAndHwMarkers) {
+  constexpr std::uint64_t kFenceFloor = 40;
+  pbbs::clear_input_cache();
+  auto configs = pbbs::all_configs();
+  configs.resize(4);
+  std::size_t compared = 0;
+  for (const auto& cfg : configs) {
+    const std::size_t n = pbbs::default_size(cfg.benchmark, 0.01);
+    for (const std::size_t p : {2, 4}) {
+      const std::string where = cfg.key() + " P=" + std::to_string(p);
+      const sched_kind kinds[] = {sched_kind::ws, sched_kind::uslcws,
+                                  sched_kind::signal};
+      std::uint64_t fences[3] = {};
+      for (std::size_t k = 0; k < 3; ++k) {
+        const auto r = pbbs::run_config(kinds[k], p, cfg, n, 1, false);
+        fences[k] = r.profile.totals.fences;
+        const auto& hw = r.profile.hw;
+        const std::string cell =
+            where + " " + to_string(kinds[k]) + " hw=" + hw.status;
+        const bool available = hw.status == "available";
+        const bool unavailable = hw.status.rfind("unavailable:", 0) == 0;
+        EXPECT_TRUE(available || unavailable ||
+                    hw.status.rfind("partial:", 0) == 0)
+            << cell;
+        if (available) {
+          EXPECT_GT(hw.cycles, 0u) << cell;
+        }
+        if (unavailable) {
+          EXPECT_EQ(hw.cycles, 0u) << cell;
+        }
+      }
+      if (fences[0] < kFenceFloor) continue;
+      ++compared;
+      EXPECT_LT(fences[1], fences[0]) << where << ": uslcws vs ws";
+      EXPECT_LT(fences[2], fences[0]) << where << ": signal vs ws";
+    }
+  }
+  pbbs::clear_input_cache();
+  if (compared == 0) {
+    GTEST_SKIP() << "no cell reached the " << kFenceFloor
+                 << "-fence floor under ws";
+  }
 }
 
 // Tasks pushed == tasks executed == tasks consumed, on a full PBBS

@@ -1,8 +1,10 @@
 // Adaptive worker parking (elastic idling): parking_lot unit tests, the
+// idle-CPU contract (parked idlers burn less CPU than spinning ones), the
 // never-lose-a-wakeup stress test, the counter-faithfulness proof (parking
 // must not perturb the paper's fence/CAS/steal/exposure profiles), and the
 // stale-targeted_-flag regression test.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
@@ -111,17 +113,35 @@ TEST(Parking, SingleWorkerPoolNeverParks) {
   EXPECT_FALSE(sched.parking_active());
 }
 
-// With one worker spinning sequentially and the rest idle, parking must
-// engage (parks and parked nanoseconds accumulate); with the kill-switch
-// thrown, the parking counters must stay exactly zero.
+double cpu_seconds(clockid_t id) {
+  timespec ts{};
+  clock_gettime(id, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// micro_idle's idle phase: worker 0 spins sequentially for 200 ms at P=8
+// while the other 7 workers have nothing to do. With parking on, parking
+// must engage (parks and parked nanoseconds accumulate) and the idlers
+// must burn less CPU — process CPU minus worker 0's thread CPU — than
+// the same kind's spinning idlers; with the kill-switch thrown, the
+// parking counters must stay exactly zero.
 TEST(Parking, EngagesWhenIdleAndKillSwitchIsInert) {
   for (const sched_kind kind : all_sched_kinds) {
+    double idle_cpu_s[2] = {0, 0};  // indexed by `on`
     for (const bool on : {true, false}) {
       with_scheduler(
           kind, 8, pool_config{.parking = on}, [&](auto& sched) {
             EXPECT_EQ(sched.parking_active(), on) << to_string(kind);
             sched.reset_counters();
-            sched.run([&] { spin_for_ns(50'000'000); });
+            sched.run([&] {
+              const double p0 = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
+              const double t0 = cpu_seconds(CLOCK_THREAD_CPUTIME_ID);
+              spin_for_ns(200'000'000);
+              const double p1 = cpu_seconds(CLOCK_PROCESS_CPUTIME_ID);
+              const double t1 = cpu_seconds(CLOCK_THREAD_CPUTIME_ID);
+              idle_cpu_s[on] = (p1 - p0) - (t1 - t0);
+            });
             const auto t = sched.profile().totals;
             if (on) {
               EXPECT_GT(t.parks, 0u) << to_string(kind);
@@ -133,6 +153,9 @@ TEST(Parking, EngagesWhenIdleAndKillSwitchIsInert) {
             }
           });
     }
+    EXPECT_LT(idle_cpu_s[true], idle_cpu_s[false])
+        << to_string(kind) << ": parked idlers burned no less CPU than "
+        << "spinning ones";
   }
 }
 

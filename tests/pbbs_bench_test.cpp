@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -134,6 +136,13 @@ TEST(Runner, DefaultSizeScales) {
   const auto base = default_size("integerSort");
   EXPECT_EQ(default_size("integerSort", 0.5), base / 2);
   EXPECT_GE(default_size("anything", 1e-9), 1024u);  // floor
+  // The size_t cast is undefined for these, so each is refused.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           1e30}) {
+    EXPECT_THROW(default_size("integerSort", bad), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Runner, UnknownBenchmarkThrows) {

@@ -214,26 +214,28 @@ TYPED_TEST(SchedulerTest, NumWorkers) {
 // The paper's headline claim (Figs 3a, 8a): LCWS schedulers execute far
 // fewer fences than WS on the same computation, because WS pays one fence
 // per push and one per pop while LCWS pays fences only for exposed work.
+// Every split-deque kind keeps that contract, Lace's included.
 TEST(SchedulerComparison, SplitDequeSchedulersUseFarFewerFences) {
-  const auto workload = [](auto& sched) {
-    sched.reset_counters();
-    sched.run([&] { (void)fib(sched, 24); });
-    return sched.profile().totals;
+  const auto fences = [](sched_kind kind) {
+    std::uint64_t n = 0;
+    with_scheduler(kind, 4, [&](auto& sched) {
+      sched.reset_counters();
+      sched.run([&] { (void)fib(sched, 24); });
+      n = sched.profile().totals.fences;
+    });
+    return n;
   };
 
-  ws_scheduler ws(4);
-  const auto ws_totals = workload(ws);
-  ASSERT_GT(ws_totals.fences, 1000u);  // one per push + one per pop
-
-  uslcws_scheduler us(4);
-  const auto us_totals = workload(us);
-  signal_scheduler sig(4);
-  const auto sig_totals = workload(sig);
+  const std::uint64_t ws_fences = fences(sched_kind::ws);
+  ASSERT_GT(ws_fences, 1000u);  // one per push + one per pop
 
   // The paper measures <1% (Fig 3a); we only assert the order-of-magnitude
   // claim to stay robust against scheduling noise.
-  EXPECT_LT(us_totals.fences * 10, ws_totals.fences);
-  EXPECT_LT(sig_totals.fences * 10, ws_totals.fences);
+  for (const sched_kind kind :
+       {sched_kind::uslcws, sched_kind::signal, sched_kind::conservative,
+        sched_kind::expose_half, sched_kind::lace}) {
+    EXPECT_LT(fences(kind) * 10, ws_fences) << to_string(kind);
+  }
 }
 
 TEST(SchedulerComparison, WsNeverExposesOrSignals) {

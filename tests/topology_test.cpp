@@ -1,7 +1,8 @@
 // Tests for the locality layer: sysfs topology parsing against fixture
 // trees, tier classification, pin orders, victim tables, the two-level
 // victim selector's distribution, the per-worker RNG seeds, and the
-// scheduler-level steal-placement counter identities.
+// scheduler-level steal-placement counter identities for every kind.
+#include <sched.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sched/dispatch.h"
 #include "sched/scheduler.h"
 #include "sched/victim_select.h"
 #include "support/rng.h"
@@ -388,41 +390,86 @@ void spin_tree(Sched& sched, int depth) {
               [&] { spin_tree(sched, depth - 1); });
 }
 
+// Four spin_tree(8) runs on a fresh P=4 pool of `kind`, parking off; the
+// pool's counters over those runs.
+stats::op_counters spin_tree_totals(sched_kind kind, bool locality) {
+  stats::op_counters t;
+  with_scheduler(
+      kind, 4, pool_config{.parking = false, .locality = locality},
+      [&](auto& sched) {
+        EXPECT_EQ(sched.locality_active(), locality) << to_string(kind);
+        if (!locality) {
+          EXPECT_EQ(sched.pinned_cpu_of(0), -1) << to_string(kind);
+        }
+        sched.reset_counters();
+        for (int rep = 0; rep < 4; ++rep) {
+          sched.run([&] { spin_tree(sched, 8); });
+        }
+        t = sched.profile().totals;
+      });
+  return t;
+}
+
+// Steals that took a task: a wsmult steal whose claim exchange lost is
+// counted in `steals` but took nothing (claims_lost is 0 elsewhere).
+std::uint64_t won_steals(const stats::op_counters& t) {
+  return t.steals - t.claims_lost;
+}
+
 TEST(SchedulerLocality, StealCountersSatisfyIdentity) {
-  ws_scheduler sched(4, pool_config{.parking = false, .locality = true});
-  EXPECT_TRUE(sched.locality_active());
-  sched.reset_counters();
-  for (int rep = 0; rep < 4; ++rep) {
-    sched.run([&] { spin_tree(sched, 8); });
+  for (const sched_kind kind : all_sched_kinds) {
+    const auto t = spin_tree_totals(kind, true);
+    // Every won steal is classified exactly once:
+    //   steals - claims_lost == steals_near + steals_remote
+    //                        == sum(steals_by_tier)
+    std::uint64_t by_tier = 0;
+    for (std::size_t i = 0; i < stats::kStealTierCount; ++i) {
+      by_tier += t.steals_by_tier[i];
+    }
+    EXPECT_EQ(won_steals(t), t.steals_near + t.steals_remote)
+        << to_string(kind);
+    EXPECT_EQ(won_steals(t), by_tier) << to_string(kind);
+    EXPECT_GE(t.steal_attempts, t.steals) << to_string(kind);
   }
-  const auto t = sched.profile().totals;
-  // Every successful steal is classified exactly once:
-  //   steals == steals_near + steals_remote == sum(steals_by_tier), i.e.
-  //   steal_attempts == steals_near + steals_remote + failed attempts.
-  EXPECT_EQ(t.steals, t.steals_near + t.steals_remote);
-  std::uint64_t by_tier = 0;
-  for (std::size_t i = 0; i < stats::kStealTierCount; ++i) {
-    by_tier += t.steals_by_tier[i];
-  }
-  EXPECT_EQ(t.steals, by_tier);
-  EXPECT_EQ(t.steal_attempts,
-            t.steals_near + t.steals_remote + (t.steal_attempts - t.steals));
-  EXPECT_GE(t.steal_attempts, t.steals);
 }
 
 TEST(SchedulerLocality, DisabledKeepsLegacyCountersZero) {
-  ws_scheduler sched(4, pool_config{.parking = false, .locality = false});
-  EXPECT_FALSE(sched.locality_active());
-  EXPECT_EQ(sched.pinned_cpu_of(0), -1);
-  sched.reset_counters();
-  sched.run([&] { spin_tree(sched, 8); });
-  const auto t = sched.profile().totals;
-  EXPECT_EQ(t.steals_near, 0u);
-  EXPECT_EQ(t.steals_remote, 0u);
-  EXPECT_EQ(t.locality_explores, 0u);
-  for (std::size_t i = 0; i < stats::kStealTierCount; ++i) {
-    EXPECT_EQ(t.steals_by_tier[i], 0u);
+  for (const sched_kind kind : all_sched_kinds) {
+    const auto t = spin_tree_totals(kind, false);
+    EXPECT_EQ(t.steals_near, 0u) << to_string(kind);
+    EXPECT_EQ(t.steals_remote, 0u) << to_string(kind);
+    EXPECT_EQ(t.locality_explores, 0u) << to_string(kind);
+    for (std::size_t i = 0; i < stats::kStealTierCount; ++i) {
+      EXPECT_EQ(t.steals_by_tier[i], 0u) << to_string(kind);
+    }
   }
+}
+
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<std::size_t>(CPU_COUNT(&set));
+}
+
+// With real topology, locality-aware selection lands a near steal at least
+// once. Summed over every kind so sparse steal counts cannot flake.
+TEST(SchedulerLocality, NearStealsOnMultiCpuHosts) {
+  if (usable_cpus() < 2) {
+    GTEST_SKIP() << "fewer than 2 usable CPUs: the topology is one flat "
+                    "tier, so near and remote merge";
+  }
+  std::uint64_t won = 0;
+  std::uint64_t near = 0;
+  for (const sched_kind kind : all_sched_kinds) {
+    const auto t = spin_tree_totals(kind, true);
+    won += won_steals(t);
+    near += t.steals_near;
+  }
+  if (won < 50) {
+    GTEST_SKIP() << "only " << won << " won steals (< 50)";
+  }
+  EXPECT_GT(near, 0u) << "no near steal among " << won << " won steals";
 }
 
 TEST(SchedulerLocality, SingleWorkerNeverActivates) {
